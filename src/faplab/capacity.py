@@ -309,6 +309,8 @@ def _knn_entropy(samples: np.ndarray) -> EntropyEstimate:
     n, d = x.shape
     if n < 1000:
         raise ValueError("nearest-neighbor entropy needs at least 1000 samples")
+    if not np.isfinite(x).all():
+        raise ValueError("nearest-neighbor entropy needs finite samples (got NaN or inf)")
     if d == 1:
         xs = np.sort(x[:, 0])
         gaps = np.diff(xs)

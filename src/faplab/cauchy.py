@@ -124,9 +124,13 @@ def pdf_multivariate(d: MultivariateCauchy, x):
     if pts.shape[1] != p:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {p}")
     delta = pts - d.location
-    # Quadratic form through the Cholesky factor: q = ||L^-1 (x - mu)||^2.
-    w = np.linalg.solve(d._chol, delta.T)
-    q = np.sum(w * w, axis=0)
+    # Quadratic form through the Cholesky factor: q = ||L^-1 (x - mu)||^2, by
+    # forward substitution over all points at once, so that a point's value
+    # does not depend on how many points are evaluated with it.
+    w = np.empty_like(delta)
+    for i in range(p):
+        w[:, i] = (delta[:, i] - w[:, :i] @ d._chol[i, :i]) / d._chol[i, i]
+    q = np.sum(w * w, axis=1)
     log_det = 2.0 * np.sum(np.log(np.diag(d._chol)))
     log_norm = (
         log_gamma(0.5 * (1 + p))

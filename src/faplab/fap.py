@@ -55,10 +55,10 @@ class ChannelGeometry:
     def __post_init__(self) -> None:
         if self.dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
-        if not self.lam > 0.0:
-            raise ValueError(f"transmission distance must be > 0, got {self.lam}")
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"diffusion coefficient must be > 0, got {self.sigma2}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"transmission distance must be finite and > 0, got {self.lam}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"diffusion coefficient must be finite and > 0, got {self.sigma2}")
 
     @property
     def n_transverse(self) -> int:
@@ -256,6 +256,14 @@ def density_grid(
         x = np.zeros(g.n_transverse)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     axis = np.linspace(y_min, y_max, points)
+    if v.magnitude == 0.0:
+        _check_drift(g, v)
+        noise = zero_drift_reduction(g, x)
+        if g.dimension == 2:
+            return ("y1", "density"), list(zip(axis.tolist(), pdf_univariate(noise, axis).tolist()))
+        y1, y2 = np.repeat(axis, points), np.tile(axis, points)
+        density = pdf_multivariate(noise, np.column_stack([y1, y2]))
+        return ("y1", "y2", "density"), list(zip(y1.tolist(), y2.tolist(), density.tolist()))
     rows = []
     if g.dimension == 2:
         for y1 in axis:

@@ -10,17 +10,22 @@ Two steppers produce the same law for that discrete-time walk:
 
 * ``per_step`` draws every coordinate at every step, literally.
 * ``block_bridge`` (default) advances the traversal coordinate in coarse
-  blocks and, whenever a block could plausibly touch the barrier, redraws
-  its interior as a discrete Gaussian bridge conditioned on the block
-  endpoints.  Blocks whose bridge crossing probability is below 1e-18 are
-  skipped, so the total law error is bounded by n_blocks * 1e-18.  The
+  blocks that lengthen with the elapsed time.  A block that could
+  plausibly touch the barrier is refined lazily by dyadic bisection (Levy's
+  Brownian-bridge construction): each midpoint is drawn from the discrete
+  Gaussian bridge between its two known neighbours, stretches after a
+  particle's earliest known crossing are dropped, and so are stretches
+  whose bridge crossing probability is below 1e-18, so the total law error
+  is bounded by the number of dropped stretches times 1e-18.  The
   transverse coordinates at the crossing step are drawn from their exact
   conditional law given the crossing time, which matches literal stepping
   plus interpolation distributionally.
 
-Randomness is organized as one counter-based stream per particle (Philox
-keyed by (seed, particle index)), so results are bit-identical for any
-worker count or batching schedule.
+Both steppers advance a whole chunk of 4,096 particles at once as arrays.
+Randomness is one counter-based stream per chunk (Philox keyed by (seed,
+chunk index)), and chunk bounds are fixed, so results are bit-identical for
+any worker count and across reruns; a particle's draws do depend on the
+other particles of its chunk.
 """
 
 from __future__ import annotations
@@ -50,11 +55,19 @@ __all__ = [
     "write_config_json",
 ]
 
-# Skip refining a coarse block only when the continuous-bridge crossing
+# Drop a stretch of walk only when its continuous-bridge crossing
 # probability (an upper bound for the discrete walk) is below this.
 _BRIDGE_SKIP_PROB = 1e-18
 _LOG_SKIP = -math.log(_BRIDGE_SKIP_PROB)  # ~41.45
-_COARSE_BATCH = 1024
+_CHUNK = 4096  # particles per random stream; fixed, so no result depends on the worker count
+# Values in the coarse (block_bridge) and literal (per_step) arrays of one
+# batch.  Bisection arrays grow to several times the coarse array, hence its
+# smaller bound; larger batches are no faster and raise peak memory.
+_BRIDGE_BATCH_VALUES = 1 << 13
+_LITERAL_BATCH_VALUES = 1 << 15
+# A block_bridge batch holds at most this many coarse blocks per particle,
+# and blocks grow to 1/_BLOCK_GROWTH of the steps already taken.
+_BLOCK_GROWTH = 16
 _HIGH_CENSORING_FRACTION = 0.20
 
 
@@ -72,8 +85,8 @@ class SimConfig:
     stepper: str = "block_bridge"
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
         if self.max_steps < 1:
@@ -130,155 +143,159 @@ def effective_workers(requested: Optional[int] = None) -> int:
         requested = os.cpu_count() or 1
     cap = os.environ.get("FAPLAB_THREADS")
     if cap:
+        if not cap.strip().isdecimal() or int(cap) < 1:
+            raise ValueError(f"FAPLAB_THREADS must be a positive integer, got {cap!r}")
         requested = min(requested, int(cap))
     return max(1, requested)
 
 
-def _particle_rng(seed: int, particle_id: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, particle_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _coarse_block_size(g: ChannelGeometry, dt: float) -> int:
-    # Block span ~2.5% of the diffusive time scale lam^2/sigma2: the bridge
-    # trigger then fires within ~0.7 lam of the barrier.
+    # First block span ~2.5% of the diffusive time scale lam^2/sigma2: the
+    # bridge trigger then fires within ~0.7 lam of the barrier.
     m = int(round(0.025 * g.lam**2 / (g.sigma2 * dt)))
     return max(8, min(m, 8192))
 
 
-def _finish_hit(rng, x_in, v_t, sigma2, t_prev, alpha, dt):
-    # Exact conditional law of the interpolated transverse coordinates given
-    # the crossing time: Gaussian with variance sigma2 (t_prev + alpha^2 dt).
-    sd = math.sqrt(sigma2 * (t_prev + alpha * alpha * dt))
-    mean = x_in + v_t * (t_prev + alpha * dt)
-    return mean + sd * rng.standard_normal(x_in.size)
+def _bridge_points(rng, a, b, n, step_var):
+    """Split n-step walk bridges from a to b at j = n // 2; returns (j, walk at step j).
+
+    Given both ends, step j of a Gaussian walk with step variance step_var is
+    Gaussian with mean a + (j/n)(b - a) and variance step_var j (n - j) / n,
+    whatever the drift, and the two halves are independent bridges again.
+    """
+    j = n // 2
+    mean = a + (j / n) * (b - a)
+    return j, mean + np.sqrt(step_var * j * (n - j) / n) * rng.standard_normal(a.size)
 
 
-def _scan_fine_path(z_start, path):
-    """First index with path <= 0, or -1; path is the fine trajectory after z_start."""
-    crossed = path <= 0.0
-    if not crossed.any():
-        return -1, 0.0, 0.0
-    i = int(np.argmax(crossed))
-    prev = z_start if i == 0 else path[i - 1]
-    return i, prev, path[i]
+def _first_crossings(rng, z, path, size, thresh, step_var):
+    """Earliest crossing step of each particle within one batch of coarse blocks.
+
+    Row i of path holds particle i's walk at the ends of consecutive
+    `size`-step blocks that start from z[i] > 0.  A stretch from a to b over
+    n steps may cross only if a*b <= thresh*n (bridge crossing probability
+    at least _BRIDGE_SKIP_PROB).  Such stretches are bisected level by level
+    over flat arrays (particle p, first step s, steps n, end values a, b),
+    dropping those that start at or after the particle's earliest known
+    crossing.  Returns the crossing unit steps (p, s, a, b), at most one per
+    particle, with s counted from the batch start.
+    """
+    p, s = np.nonzero(np.concatenate([z[:, None], path[:, :-1]], axis=1) * path <= thresh * size)
+    a = np.where(s > 0, path[p, s - 1], z[p])
+    b = path[p, s]
+    s = s * size
+    n = np.full(p.size, size)
+    # Block ends are exact walk values: a particle crosses no later than the
+    # end of its first block that ends at or below 0.
+    absorbed = path <= 0.0
+    first = (np.where(absorbed.any(axis=1), absorbed.argmax(axis=1), path.shape[1]) + 1) * size
+    while True:
+        keep = (s < first[p]) & ((b <= 0.0) | ((n > 1) & (a * b <= thresh * n)))
+        p, s, n, a, b = p[keep], s[keep], n[keep], a[keep], b[keep]
+        if not (n > 1).any():
+            return p, s, a, b
+        # A unit step splits at j = 0 into an empty stretch, which is dropped,
+        # and itself: its "midpoint" is a, drawn with variance 0.
+        j, c = _bridge_points(rng, a, b, n, step_var)
+        below = c <= 0.0
+        np.minimum.at(first, p[below], s[below] + j[below])
+        p = np.concatenate([p, p])
+        s = np.concatenate([s, s + j])
+        n = np.concatenate([j, n - j])
+        a, b = np.concatenate([a, c]), np.concatenate([c, b])
 
 
-def _run_particle_bridge(rng, cfg: SimConfig, x_in: np.ndarray):
+def _bridge_chunk(rng, cfg: SimConfig, x_in: np.ndarray, n: int):
+    """block_bridge stepper for n particles; returns (hit times, NaN if censored; positions)."""
     g = cfg.geometry
     dt = cfg.dt
-    sigma2 = g.sigma2
+    step_var = g.sigma2 * dt
+    thresh = 0.5 * _LOG_SKIP * step_var  # per step of a stretch's duration
     v_t = np.asarray(cfg.drift.transverse, dtype=float)
     v_z = cfg.drift.traversal
     m = _coarse_block_size(g, dt)
-    sd_fine = math.sqrt(sigma2 * dt)
-    sd_coarse = math.sqrt(sigma2 * dt * m)
-    drift_coarse = v_z * dt * m
-    thresh = 0.5 * _LOG_SKIP * sigma2 * dt * m
-    frac = np.arange(1, m + 1) / m
 
-    full_blocks = cfg.max_steps // m
-    remainder = cfg.max_steps - full_blocks * m
-
-    z = g.lam
+    t_hit = np.full(n, np.nan)
+    pos = np.empty((n, g.n_transverse))
+    alive = np.arange(n)
+    z = np.full(n, g.lam)
     steps_done = 0
-    blocks_left = full_blocks
-    while blocks_left > 0:
-        k = min(_COARSE_BATCH, blocks_left)
-        xi = rng.standard_normal(k)
-        zpath = z + np.cumsum(drift_coarse + sd_coarse * xi)
-        zprev = np.empty(k)
-        zprev[0] = z
-        zprev[1:] = zpath[:-1]
-        trig = np.flatnonzero(zprev * zpath <= thresh)
-        if trig.size:
-            # Only triggers up to (and including) the first coarse-level
-            # absorption can contain the true first crossing.
-            absorbed = np.flatnonzero(zpath[trig] <= 0.0)
-            if absorbed.size:
-                trig = trig[: absorbed[0] + 1]
-            e = sd_fine * rng.standard_normal(trig.size * m).reshape(trig.size, m)
-            w = np.cumsum(e, axis=1)
-            pinned = w - frac * w[:, -1:]
-            za = zprev[trig, None]
-            zb = zpath[trig, None]
-            paths = za + frac * (zb - za) + pinned
-            crossed = paths <= 0.0
-            rows = np.flatnonzero(crossed.any(axis=1))
-            if rows.size:
-                r = int(rows[0])
-                i, prev, cur = _scan_fine_path(float(zprev[trig[r]]), paths[r])
-                alpha = prev / (prev - cur)
-                fine_before = steps_done + int(trig[r]) * m + i
-                t_prev = fine_before * dt
-                pos = _finish_hit(rng, x_in, v_t, sigma2, t_prev, alpha, dt)
-                return pos, t_prev + alpha * dt
-        z = float(zpath[-1])
-        steps_done += k * m
-        blocks_left -= k
-
-    if remainder > 0:
-        e = rng.standard_normal(remainder)
-        path = z + np.cumsum(v_z * dt + sd_fine * e)
-        i, prev, cur = _scan_fine_path(z, path)
-        if i >= 0:
-            alpha = prev / (prev - cur)
-            t_prev = (steps_done + i) * dt
-            pos = _finish_hit(rng, x_in, v_t, sigma2, t_prev, alpha, dt)
-            return pos, t_prev + alpha * dt
-    return None, None
+    while steps_done < cfg.max_steps and alive.size:
+        # Survivors wander away from the barrier as time passes, so blocks
+        # lengthen with the elapsed time; bisection refines any that may cross.
+        steps_left = cfg.max_steps - steps_done
+        size = min(max(m, steps_done // _BLOCK_GROWTH), steps_left)
+        k = min(steps_left // size, _BLOCK_GROWTH, max(1, _BRIDGE_BATCH_VALUES // alive.size))
+        path = rng.standard_normal((alive.size, k))
+        path *= math.sqrt(step_var * size)
+        path += v_z * dt * size
+        np.cumsum(path, axis=1, out=path)
+        path += z[:, None]
+        p, s, a, b = _first_crossings(rng, z, path, size, thresh, step_var)
+        # Linear interpolation within the crossing step; the transverse
+        # coordinates there follow their exact law given the crossing time,
+        # Gaussian with variance sigma2 (t_prev + alpha^2 dt).
+        alpha = a / (a - b)
+        t_prev = (steps_done + s) * dt
+        ids = alive[p]
+        t_hit[ids] = t_prev + alpha * dt
+        sd = np.sqrt(g.sigma2 * (t_prev + alpha * alpha * dt))
+        pos[ids] = (x_in + np.outer(t_hit[ids], v_t)
+                    + sd[:, None] * rng.standard_normal((p.size, g.n_transverse)))
+        stay = np.ones(alive.size, dtype=bool)
+        stay[p] = False
+        z = path[stay, -1]
+        alive = alive[stay]
+        steps_done += k * size
+    return t_hit, pos
 
 
-def _run_particle_literal(rng, cfg: SimConfig, x_in: np.ndarray):
+def _literal_chunk(rng, cfg: SimConfig, x_in: np.ndarray, n: int):
+    """per_step stepper for n particles; returns (hit times, NaN if censored; positions)."""
     g = cfg.geometry
     dt = cfg.dt
-    sd = math.sqrt(g.sigma2 * dt)
-    v_t = np.asarray(cfg.drift.transverse, dtype=float)
-    v_z = cfg.drift.traversal
     n_t = g.n_transverse
+    sd = math.sqrt(g.sigma2 * dt)
+    drift = np.asarray(cfg.drift.components, dtype=float) * dt  # traversal last
 
-    z = g.lam
-    x = x_in.astype(float).copy()
+    t_hit = np.full(n, np.nan)
+    pos = np.empty((n, n_t))
+    alive = np.arange(n)
+    w = np.empty((n, n_t + 1))  # walker state, traversal coordinate last
+    w[:, :-1] = x_in
+    w[:, -1] = g.lam
     steps_done = 0
-    block = 16384
-    while steps_done < cfg.max_steps:
-        b = min(block, cfg.max_steps - steps_done)
-        e = rng.standard_normal((b, n_t + 1))
-        zpath = z + np.cumsum(v_z * dt + sd * e[:, -1])
-        i, prev, cur = _scan_fine_path(z, zpath)
-        if i >= 0:
-            xpath = x + np.cumsum(v_t * dt + sd * e[:, :-1], axis=0)
-            x_prev = x if i == 0 else xpath[i - 1]
-            alpha = prev / (prev - cur)
-            pos = x_prev + alpha * (xpath[i] - x_prev)
-            t_prev = (steps_done + i) * dt
-            return pos, t_prev + alpha * dt
-        x = x + v_t * dt * b + sd * e[:, :-1].sum(axis=0)
-        z = float(zpath[-1])
-        steps_done += b
-    return None, None
+    while steps_done < cfg.max_steps and alive.size:
+        k = min(cfg.max_steps - steps_done,
+                max(1, _LITERAL_BATCH_VALUES // (alive.size * (n_t + 1))))
+        path = rng.standard_normal((alive.size, k, n_t + 1))
+        path *= sd
+        path += drift
+        np.cumsum(path, axis=1, out=path)
+        path += w[:, None, :]
+        below = path[:, :, -1] <= 0.0
+        hit = below.any(axis=1)
+        rows = np.flatnonzero(hit)
+        i = below[rows].argmax(axis=1)
+        cur = path[rows, i]
+        prev = np.where((i == 0)[:, None], w[rows], path[rows, i - 1])
+        alpha = prev[:, -1] / (prev[:, -1] - cur[:, -1])
+        ids = alive[rows]
+        pos[ids] = prev[:, :-1] + alpha[:, None] * (cur[:, :-1] - prev[:, :-1])
+        t_hit[ids] = (steps_done + i) * dt + alpha * dt
+        w = path[~hit, -1]
+        alive = alive[~hit]
+        steps_done += k
+    return t_hit, pos
 
 
 def _simulate_chunk(cfg: SimConfig, x_in: np.ndarray, start: int, stop: int):
-    runner = _run_particle_bridge if cfg.stepper == "block_bridge" else _run_particle_literal
-    ids, positions, times = [], [], []
-    censored = 0
-    for pid in range(start, stop):
-        rng = _particle_rng(cfg.seed, pid)
-        pos, t = runner(rng, cfg, x_in)
-        if pos is None:
-            censored += 1
-        else:
-            ids.append(pid)
-            positions.append(pos)
-            times.append(t)
-    n_t = cfg.geometry.n_transverse
-    return (
-        np.asarray(ids, dtype=np.int64),
-        np.asarray(positions, dtype=float).reshape(len(ids), n_t),
-        np.asarray(times, dtype=float),
-        censored,
-    )
+    key = np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF, start // _CHUNK], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    runner = _bridge_chunk if cfg.stepper == "block_bridge" else _literal_chunk
+    t_hit, pos = runner(rng, cfg, x_in, stop - start)
+    hit = ~np.isnan(t_hit)
+    return start + np.flatnonzero(hit), pos[hit], t_hit[hit], int(np.count_nonzero(~hit))
 
 
 def simulate_first_arrival(
@@ -300,8 +317,7 @@ def simulate_first_arrival(
 
     n = cfg.n_particles
     n_workers = effective_workers(workers)
-    chunk = 4096  # fixed so chunking never depends on the worker count
-    bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+    bounds = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
 
     if n_workers == 1 or len(bounds) == 1:
         parts = [_simulate_chunk(cfg, x_in, s, e) for s, e in bounds]

@@ -171,6 +171,15 @@ def test_entropy_requires_enough_samples():
         entropy_estimate(np.zeros(10), "knn")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_entropy_knn_rejects_non_finite_samples(bad, dim):
+    samples = sample_univariate(UnivariateCauchy(0.0, 1.0), 5000 * dim, seed=4).reshape(5000, dim)
+    samples[17, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        entropy_estimate(samples[:, 0] if dim == 1 else samples, "knn")
+
+
 def test_entropy_unnormalized_pdf_rejected():
     bad = CustomDensity(pdf=lambda y: 2.0 / (math.pi * (1.0 + y * y)), dim=1)
     with pytest.raises(ValueError, match="not normalized"):

@@ -29,6 +29,12 @@ def test_geometry_validation():
         ChannelGeometry(2, 1.0, -1.0)
 
 
+@pytest.mark.parametrize("lam, sigma2", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+def test_geometry_rejects_non_finite(lam, sigma2):
+    with pytest.raises(ValueError, match="finite"):
+        ChannelGeometry(2, lam, sigma2)
+
+
 def test_drift_vector_validation():
     with pytest.raises(ValueError):
         DriftVector(float("nan"), 0.0)
@@ -261,3 +267,22 @@ def test_density_grid_3d_row_major():
     assert len(rows) == 9
     assert rows[0][:2] == (-1.0, -1.0)
     assert rows[1][:2] == (-1.0, 0.0)  # inner index runs over y2
+
+
+@pytest.mark.parametrize("dim, points", [(2, 401), (3, 41)])
+def test_density_grid_zero_drift_matches_pointwise(dim, points):
+    g = ChannelGeometry(dim, 1.3, 0.7)
+    x = np.full(dim - 1, 0.4)
+    _, rows = density_grid(g, DriftVector.zero(dim), x, -10.0, 10.0, points)
+    for row in rows[:: max(1, len(rows) // 97)]:
+        want = fap_pdf(g, DriftVector.zero(dim), FapPoint(x, row[:-1]))
+        assert row[-1] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim", [2, 3])
+def test_density_grid_zero_drift_far_tails_are_zero(dim):
+    _, rows = density_grid(ChannelGeometry(dim), DriftVector.zero(dim), None, -1e300, 1e300, 3)
+    densities = np.array([row[-1] for row in rows])
+    assert np.all(np.isfinite(densities))
+    assert np.count_nonzero(densities) == 1  # only the node at the origin

@@ -11,6 +11,9 @@ from faplab.cauchy import UnivariateCauchy, cdf_univariate
 from faplab.fap import ChannelGeometry, DriftVector, arrival_probability
 from faplab.sim import (
     SimConfig,
+    _bridge_points,
+    _first_crossings,
+    effective_workers,
     ks_statistic,
     ks_two_sample,
     sample_exact_zero_drift,
@@ -33,6 +36,25 @@ def test_config_validation():
         SimConfig(G2, DriftVector(0.0, 0.0), crossing_rule="nearest_step")
     with pytest.raises(ValueError):
         SimConfig(G2, DriftVector(0.0, 0.0, 0.0))  # drift arity mismatch
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_config_rejects_non_finite_dt(dt):
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(G2, DriftVector(0.0, 0.0), dt=dt)
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
+def test_threads_env_must_be_positive_integer(monkeypatch, cap):
+    monkeypatch.setenv("FAPLAB_THREADS", cap)
+    with pytest.raises(ValueError, match="FAPLAB_THREADS must be a positive integer"):
+        effective_workers(4)
+
+
+def test_threads_env_caps_workers(monkeypatch):
+    monkeypatch.setenv("FAPLAB_THREADS", "2")
+    assert effective_workers(4) == 2
+    assert effective_workers(1) == 1
 
 
 # ks_statistic ----------------------------------------------------------------
@@ -127,6 +149,53 @@ def test_steppers_agree_in_law():
     crit = 1.95 * math.sqrt(2.0 / min(len(bridge.hit_times), len(literal.hit_times)))
     assert ks_two_sample(bridge.transverse_1d(), literal.transverse_1d()) < crit
     assert ks_two_sample(np.log(bridge.hit_times), np.log(literal.hit_times)) < crit
+
+
+def test_steppers_agree_in_law_with_transverse_drift():
+    # Drift toward the receiver plus a transverse component, with a horizon
+    # short enough that both steppers censor a sizeable share.
+    shared = dict(dt=1e-3, n_particles=6000, max_steps=4000)
+    v = DriftVector(0.8, -0.5)
+    bridge = simulate_first_arrival(SimConfig(G2, v, seed=41, stepper="block_bridge", **shared))
+    literal = simulate_first_arrival(SimConfig(G2, v, seed=42, stepper="per_step", **shared))
+    crit = 1.95 * math.sqrt(2.0 / min(len(bridge.hit_times), len(literal.hit_times)))
+    assert ks_two_sample(bridge.transverse_1d(), literal.transverse_1d()) < crit
+    assert ks_two_sample(np.log(bridge.hit_times), np.log(literal.hit_times)) < crit
+    n = shared["n_particles"]
+    pooled = (bridge.censored_count + literal.censored_count) / (2 * n)
+    assert 0.02 < pooled < 0.5
+    se = math.sqrt(pooled * (1.0 - pooled) * 2.0 / n)
+    assert abs(bridge.censored_fraction - literal.censored_fraction) <= 3.0 * se
+
+
+@pytest.mark.parametrize("n_steps", [2, 7, 250])
+def test_bridge_point_mean_and_variance(n_steps):
+    # Step j = n // 2 of an n-step walk bridge from a to b (step variance s2):
+    # mean a + (j/n)(b - a), variance s2 j (n - j) / n.
+    size, a, b, s2 = 200_000, 0.7, -0.2, 0.3
+    rng = np.random.Generator(np.random.Philox(key=np.array([5, n_steps], dtype=np.uint64)))
+    j, z = _bridge_points(rng, np.full(size, a), np.full(size, b), np.full(size, n_steps), s2)
+    assert np.all(j == n_steps // 2)
+    j = n_steps // 2
+    mean = a + (j / n_steps) * (b - a)
+    var = s2 * j * (n_steps - j) / n_steps
+    assert abs(z.mean() - mean) <= 5.0 * math.sqrt(var / size)
+    assert abs(z.var(ddof=1) - var) <= 5.0 * var * math.sqrt(2.0 / (size - 1))
+
+
+def test_first_crossings_finds_first_crossing_step():
+    # With zero step variance every bridge is a straight line, so the first
+    # step at or below 0 is known exactly.  Blocks are 8 steps long.
+    # Particle 0 crosses in its first block (1 -> -1: 0 at step 4); particle
+    # 1 only in its second (0.5 -> 0.5 -> -1.5: 0 at step 10); particle 2
+    # never does.
+    z = np.array([1.0, 0.5, 0.9])
+    path = np.array([[-1.0, -3.0], [0.5, -1.5], [0.8, 0.7]])
+    p, s, a, b = _first_crossings(np.random.default_rng(0), z, path, 8, 0.0, 0.0)
+    order = np.argsort(p)
+    assert p[order].tolist() == [0, 1]
+    assert s[order].tolist() == [3, 9]
+    assert a[order].tolist() == [0.25, 0.25] and b[order].tolist() == [0.0, 0.0]
 
 
 def test_drifted_positions_match_analytic_density():
