@@ -42,6 +42,7 @@ from .fap import (
     DriftVector,
     FapPoint,
     arrival_probability,
+    fap_density,
     fap_pdf,
     fap_pdf_2d,
     fap_pdf_3d,

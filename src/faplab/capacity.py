@@ -265,6 +265,10 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
         if np.any(loc != 0.0):
             raise ValueError("dispersion of an off-origin point mass is undefined")
         return 0.0
+    if not isinstance(obj, (UnivariateCauchy, MultivariateCauchy, MaxentProfile)):
+        obj = np.asarray(obj, dtype=float)
+        if not np.isfinite(obj).all():
+            raise ValueError("dispersion of samples needs finite values (got NaN or inf)")
     c = spec.c
     g = lambda k: log_moment(obj, k, p=spec.p) - c
     s = _robust_scale(obj)

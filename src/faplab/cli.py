@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -47,18 +48,37 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
+def _checked(convert, accept, what: str):
+    """An argparse type: convert the text, then require accept(value)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return value
+
+    return parse
+
+
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+
+
 def _geometry_args(parser: argparse.ArgumentParser, with_drift: bool = True) -> None:
     parser.add_argument("-n", "--dimension", type=int, default=2, choices=(2, 3))
-    parser.add_argument("--lambda", dest="lam", type=float, default=1.0,
+    parser.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0,
                         help="transmission distance (default 1)")
-    parser.add_argument("--sigma2", type=float, default=1.0,
+    parser.add_argument("--sigma2", type=_finite_float, default=1.0,
                         help="microscopic diffusion coefficient (default 1)")
     if with_drift:
-        parser.add_argument("--vx", type=float, default=0.0,
+        parser.add_argument("--vx", type=_finite_float, default=0.0,
                             help="transverse drift component")
-        parser.add_argument("--vy", type=float, default=0.0,
+        parser.add_argument("--vy", type=_finite_float, default=0.0,
                             help="second transverse (3D) or traversal (2D) component")
-        parser.add_argument("--vz", type=float, default=0.0,
+        parser.add_argument("--vz", type=_finite_float, default=0.0,
                             help="traversal drift component (3D); positive points away from the receiver")
 
 
@@ -78,21 +98,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_density = sub.add_parser("density", help="emit an analytic density grid as CSV")
     _geometry_args(p_density)
-    p_density.add_argument("--x1", type=float, default=0.0)
-    p_density.add_argument("--x2", type=float, default=0.0)
-    p_density.add_argument("--ymin", type=float, default=-10.0)
-    p_density.add_argument("--ymax", type=float, default=10.0)
-    p_density.add_argument("--points", type=int, default=201)
+    p_density.add_argument("--x1", type=_finite_float, default=0.0)
+    p_density.add_argument("--x2", type=_finite_float, default=0.0)
+    p_density.add_argument("--ymin", type=_finite_float, default=-10.0)
+    p_density.add_argument("--ymax", type=_finite_float, default=10.0)
+    p_density.add_argument("--points", type=_positive_int, default=201)
     p_density.add_argument("--format", choices=("csv", "json"), default="csv")
     p_density.add_argument("--out", type=Path, required=True)
 
     p_sim = sub.add_parser("simulate", help="run the first-passage Monte Carlo")
     _geometry_args(p_sim)
-    p_sim.add_argument("--x1", type=float, default=0.0)
-    p_sim.add_argument("--x2", type=float, default=0.0)
-    p_sim.add_argument("--dt", type=float, default=1e-4)
-    p_sim.add_argument("--particles", type=int, default=100_000)
-    p_sim.add_argument("--max-steps", type=int, default=10_000_000)
+    p_sim.add_argument("--x1", type=_finite_float, default=0.0)
+    p_sim.add_argument("--x2", type=_finite_float, default=0.0)
+    p_sim.add_argument("--dt", type=_finite_float, default=1e-4)
+    p_sim.add_argument("--particles", type=_positive_int, default=100_000)
+    p_sim.add_argument("--max-steps", type=_positive_int, default=10_000_000)
     p_sim.add_argument("--seed", type=int, default=42)
     p_sim.add_argument("--stepper", choices=("block_bridge", "per_step"),
                        default="block_bridge")
@@ -101,19 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap = sub.add_parser("capacity", help="closed-form capacity as JSON")
     p_cap.add_argument("--channel", choices=("fap2d", "fap3d", "gaussian"),
                        required=True)
-    p_cap.add_argument("--A", dest="A", type=float, required=True,
+    p_cap.add_argument("--A", dest="A", type=_finite_float, required=True,
                        help="output dispersion level")
-    p_cap.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_cap.add_argument("--sigma", type=float, default=1.0,
+    p_cap.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
+    p_cap.add_argument("--sigma", type=_finite_float, default=1.0,
                        help="noise standard deviation for the Gaussian baseline")
     p_cap.add_argument("--out", type=Path, default=None)
 
     p_max = sub.add_parser("maxent", help="constrained max-entropy profile")
     p_max.add_argument("--p", type=int, default=1, choices=(1, 2))
-    p_max.add_argument("--k", type=float, default=1.0)
-    p_max.add_argument("--c", type=float, default=None,
+    p_max.add_argument("--k", type=_finite_float, default=1.0)
+    p_max.add_argument("--c", type=_finite_float, default=None,
                        help="override the log-moment target (default: dimension constant)")
-    p_max.add_argument("--grid-points", type=int, default=33)
+    p_max.add_argument("--grid-points", type=_positive_int, default=33)
     p_max.add_argument("--out", type=Path, default=None)
 
     p_ver = sub.add_parser("verify", help="run the invariant suite")
@@ -123,11 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only checks whose name contains this substring")
 
     p_tab = sub.add_parser("table1", help="capacity table and curve files")
-    p_tab.add_argument("--a-min", type=float, default=1.0)
-    p_tab.add_argument("--a-max", type=float, default=8.0)
-    p_tab.add_argument("--a-count", type=int, default=29)
-    p_tab.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_tab.add_argument("--sigma", type=float, default=1.0)
+    p_tab.add_argument("--a-min", type=_finite_float, default=1.0)
+    p_tab.add_argument("--a-max", type=_finite_float, default=8.0)
+    p_tab.add_argument("--a-count", type=_positive_int, default=29)
+    p_tab.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
+    p_tab.add_argument("--sigma", type=_finite_float, default=1.0)
     p_tab.add_argument("--out", type=Path, required=True)
 
     return parser

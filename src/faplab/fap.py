@@ -6,6 +6,11 @@ transmitter diffuses (optionally with drift) until it first touches the
 receiver plane; these functions give the analytic density of that arrival
 point over the receiver plane.
 
+``fap_density`` is the one implementation: it takes an input position and
+an (n, d-1) array of outputs and returns the n densities in closed form.
+``fap_pdf_2d``, ``fap_pdf_3d`` and ``fap_pdf`` evaluate it at a single
+``FapPoint``, and ``density_grid`` evaluates it once over a whole grid.
+
 Sign convention for the drift component along the traversal axis (v2 in 2D,
 v3 in 3D): positive values point from the receiver back toward the
 transmitter, i.e. away from the receiver.  The convention is pinned by
@@ -13,8 +18,9 @@ cross-validating ``arrival_probability`` against the Monte Carlo simulator:
 with a positive traversal component the arrival probability drops below 1.
 
 With zero drift the arrival law collapses to a Cauchy distribution whose
-scale is the transmission distance; that closed form is exposed separately
-because the drifted 2D formula degenerates into a 0 * inf product at |v| = 0.
+scale is the transmission distance (``zero_drift_reduction``).  The 2D
+density takes that closed form at |v| = 0, where the drifted formula
+degenerates into a 0 * inf product; the 3D drifted formula already equals it.
 """
 
 from __future__ import annotations
@@ -25,15 +31,15 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from scipy.special import k1e
 
-from .cauchy import MultivariateCauchy, UnivariateCauchy, pdf_multivariate, pdf_univariate
-from .quadrature import integrate_plane, integrate_real_line
-from .special import bessel_k1_scaled
+from .cauchy import MultivariateCauchy, UnivariateCauchy
 
 __all__ = [
     "ChannelGeometry",
     "DriftVector",
     "FapPoint",
+    "fap_density",
     "fap_pdf_2d",
     "fap_pdf_3d",
     "fap_pdf",
@@ -122,6 +128,52 @@ class FapPoint:
         object.__setattr__(self, "y", yt)
 
 
+def fap_density(g: ChannelGeometry, v: DriftVector, x, y) -> np.ndarray:
+    """Arrival densities at the n transverse outputs ``y`` (shape (n, d-1)) for input ``x``.
+
+    2D: the drifted Bessel-K1 form, or at zero drift the Cauchy density of
+    scale lam (the drifted form is 0 * inf there).  3D: the drifted algebraic
+    form, which at zero drift is the isotropic bivariate Cauchy of scale lam.
+    Outputs infinitely far from ``x`` get density 0.
+    """
+    _check_drift(g, v)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if x.shape != (g.n_transverse,) or y.ndim != 2 or y.shape[1] != g.n_transverse:
+        raise ValueError(
+            f"expected an input of {g.n_transverse} coordinates and outputs of shape "
+            f"(n, {g.n_transverse}), got {x.shape} and {y.shape}"
+        )
+    d = y - x
+    far = np.isinf(d).any(axis=1)
+    d[far] = 0.0
+    lam, s2, speed = g.lam, g.sigma2, v.magnitude
+    if g.dimension == 2:
+        rho = np.hypot(d[:, 0], lam)
+        if speed == 0.0:
+            density = lam / math.pi / rho / rho
+        else:
+            v1, v2 = v.components
+            # Assemble through the scaled Bessel factor e^xi K1(xi): the exponent
+            # (-v2 lam + v1 d - |v| rho)/s2 is <= 0 by Cauchy-Schwarz, so the
+            # combined exponential never overflows even though its factors would.
+            exponent = (-v2 * lam + v1 * d[:, 0] - speed * rho) / s2
+            bessel = k1e(speed * rho / s2)
+            density = (speed * lam / (s2 * math.pi)) * np.exp(exponent) * bessel / rho
+    else:
+        v1, v2, v3 = v.components
+        dist = np.hypot(np.hypot(d[:, 0], d[:, 1]), lam)
+        # Transverse and radial exponentials and the 1/dist^3 decay combined in
+        # log space: the exponent is <= 0 by Cauchy-Schwarz, so only harmless
+        # underflow can occur, even where dist^3 would overflow.
+        exponent = (-v3 * lam + v1 * d[:, 0] + v2 * d[:, 1] - speed * dist) / s2
+        density = (lam / (2.0 * math.pi)) * np.exp(
+            exponent + np.log1p(speed * dist / s2) - 3.0 * np.log(dist)
+        )
+    density[far] = 0.0
+    return density
+
+
 def fap_pdf_2d(g: ChannelGeometry, v: DriftVector, pt: FapPoint) -> float:
     """Drifted 2D arrival density at transverse output y1 given input x1.
 
@@ -133,26 +185,11 @@ def fap_pdf_2d(g: ChannelGeometry, v: DriftVector, pt: FapPoint) -> float:
     _check_drift(g, v)
     if len(pt.x) != 1:
         raise ValueError("2D geometry carries one transverse coordinate")
-    speed = v.magnitude
-    if speed == 0.0:
+    if v.magnitude == 0.0:
         raise ValueError(
             "zero drift is a degenerate limit here; use zero_drift_reduction"
         )
-    v1, v2 = v.components
-    x1, y1 = pt.x[0], pt.y[0]
-    s2 = g.sigma2
-    rho = math.sqrt((x1 - y1) ** 2 + g.lam**2)
-    xi = speed * rho / s2
-    # Assemble through the scaled Bessel factor e^xi K1(xi): the exponent
-    # -v1 (x1 - y1)/s2 - xi is <= |v1||x1 - y1|/s2 - xi <= 0, so the
-    # combined exponential never overflows even though its factors would.
-    exponent = (-v2 * g.lam - v1 * (x1 - y1) - speed * rho) / s2
-    return (
-        (speed * g.lam / (s2 * math.pi))
-        * math.exp(exponent)
-        * bessel_k1_scaled(xi)
-        / rho
-    )
+    return float(fap_density(g, v, pt.x, [pt.y])[0])
 
 
 def fap_pdf_3d(g: ChannelGeometry, v: DriftVector, pt: FapPoint) -> float:
@@ -166,17 +203,7 @@ def fap_pdf_3d(g: ChannelGeometry, v: DriftVector, pt: FapPoint) -> float:
     _check_drift(g, v)
     if len(pt.x) != 2:
         raise ValueError("3D geometry carries two transverse coordinates")
-    v1, v2, v3 = v.components
-    x1, x2 = pt.x
-    y1, y2 = pt.y
-    s2 = g.sigma2
-    dist = math.sqrt((y1 - x1) ** 2 + (y2 - x2) ** 2 + g.lam**2)
-    speed = v.magnitude
-    xi = speed * dist / s2
-    # Transverse and radial exponentials combined: the exponent is bounded
-    # above by -v3 lam / s2, so only harmless underflow can occur.
-    exponent = (-v3 * g.lam + v1 * (y1 - x1) + v2 * (y2 - x2) - speed * dist) / s2
-    return (g.lam / (2.0 * math.pi)) * math.exp(exponent + math.log1p(xi)) / dist**3
+    return float(fap_density(g, v, pt.x, [pt.y])[0])
 
 
 def zero_drift_reduction(
@@ -196,47 +223,19 @@ def zero_drift_reduction(
 
 
 def fap_pdf(g: ChannelGeometry, v: DriftVector, pt: FapPoint) -> float:
-    """Arrival density for any drift, routing |v| = 0 to the closed-form reduction."""
-    _check_drift(g, v)
-    if v.magnitude == 0.0:
-        noise = zero_drift_reduction(g, pt.x)
-        if g.dimension == 2:
-            return float(pdf_univariate(noise, pt.y[0]))
-        return float(pdf_multivariate(noise, np.asarray(pt.y)))
-    if g.dimension == 2:
-        return fap_pdf_2d(g, v, pt)
-    return fap_pdf_3d(g, v, pt)
+    """Arrival density for any drift, including zero."""
+    return float(fap_density(g, v, pt.x, [pt.y])[0])
 
 
 def arrival_probability(g: ChannelGeometry, v: DriftVector) -> float:
-    """Total arrival mass over the receiver hyperplane for the given drift.
+    """Total arrival mass over the receiver hyperplane: min(1, exp(-2 v_z lam / sigma2)).
 
-    Equals 1 for zero drift (Cauchy normalization) and for drift with no
-    away-component; drops below 1 when the traversal drift points away from
-    the receiver.
+    v_z is the traversal drift component.  The mass is 1 for zero drift
+    and for drift with no away-component; it drops below 1 when the
+    traversal drift points away from the receiver.
     """
     _check_drift(g, v)
-    if v.magnitude == 0.0:
-        return 1.0 if g.dimension == 2 else _bivariate_norm(g)
-    # Center the substitution on the transverse displacement a typical
-    # arriving particle accumulates, so strong transverse drift still lands
-    # inside the quadrature's well-resolved region.
-    s2 = g.sigma2
-    t_typ = g.lam / (abs(v.traversal) + math.sqrt(s2) / g.lam)
-    shift = min(t_typ, 10.0 * g.lam**2 / s2)
-    if g.dimension == 2:
-        f = lambda y1: fap_pdf_2d(g, v, FapPoint((0.0,), (y1,)))
-        return integrate_real_line(
-            f, center=v.transverse[0] * shift, scale=g.lam, epsabs=1e-11, epsrel=1e-11
-        )
-    f2 = lambda y: fap_pdf_3d(g, v, FapPoint((0.0, 0.0), y))
-    center = (v.transverse[0] * shift, v.transverse[1] * shift)
-    return integrate_plane(f2, center=center, scale=g.lam, epsabs=1e-8, epsrel=1e-8)
-
-
-def _bivariate_norm(g: ChannelGeometry) -> float:
-    f = lambda y: fap_pdf_3d(g, DriftVector.zero(3), FapPoint((0.0, 0.0), y))
-    return integrate_plane(f, center=(0.0, 0.0), scale=g.lam, epsabs=1e-8, epsrel=1e-8)
+    return math.exp(min(0.0, -2.0 * v.traversal * g.lam / g.sigma2))
 
 
 def density_grid(
@@ -254,25 +253,14 @@ def density_grid(
     """
     if x is None:
         x = np.zeros(g.n_transverse)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     axis = np.linspace(y_min, y_max, points)
-    if v.magnitude == 0.0:
-        _check_drift(g, v)
-        noise = zero_drift_reduction(g, x)
-        if g.dimension == 2:
-            return ("y1", "density"), list(zip(axis.tolist(), pdf_univariate(noise, axis).tolist()))
-        y1, y2 = np.repeat(axis, points), np.tile(axis, points)
-        density = pdf_multivariate(noise, np.column_stack([y1, y2]))
-        return ("y1", "y2", "density"), list(zip(y1.tolist(), y2.tolist(), density.tolist()))
-    rows = []
     if g.dimension == 2:
-        for y1 in axis:
-            rows.append((y1, fap_pdf(g, v, FapPoint(x, (y1,)))))
-        return ("y1", "density"), rows
-    for y1 in axis:
-        for y2 in axis:
-            rows.append((y1, y2, fap_pdf(g, v, FapPoint(x, (y1, y2)))))
-    return ("y1", "y2", "density"), rows
+        columns, ys = ("y1", "density"), axis[:, None]
+    else:
+        columns = ("y1", "y2", "density")
+        ys = np.column_stack([np.repeat(axis, points), np.tile(axis, points)])
+    density = fap_density(g, v, x, ys)
+    return columns, list(zip(*ys.T.tolist(), density.tolist()))
 
 
 def write_density_grid_csv(path, columns: Sequence[str], rows) -> None:

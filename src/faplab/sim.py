@@ -33,6 +33,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -87,10 +88,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        for name in ("n_particles", "max_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))  # keeps to_dict() JSON-serializable
         if self.crossing_rule != "linear_interpolation":
             raise ValueError(f"unknown crossing rule: {self.crossing_rule}")
         if self.stepper not in ("block_bridge", "per_step"):

@@ -1,22 +1,20 @@
-"""Self-contained scalar special functions used throughout the package.
+"""Scalar special functions used throughout the package.
 
-Everything here is plain float arithmetic with no external dependencies:
-log-gamma and digamma via upward recurrence into their Stirling-type
-asymptotic regions, the modified Bessel function K1 via its ascending
-series for small arguments and a Steed continued fraction for large ones,
-and the digamma-difference function ``w2`` that fixes the dispersion
-constraint constants.
+Thin wrappers over ``scipy.special``: log-gamma (``gammaln``), digamma
+(``psi``) and the modified Bessel function K1, plain (``k1``) and
+exponentially scaled (``k1e``).  The wrappers add the domain checks, return
+plain floats and warn when K1 underflows.  ``w2`` is the digamma difference
+that fixes the dispersion constraint constants.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
+
+from scipy import special as sc
 
 __all__ = [
     "EULER_GAMMA",
-    "EvalPrecision",
     "log_gamma",
     "digamma",
     "bessel_k1",
@@ -28,92 +26,20 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015328606
 
 
-@dataclass(frozen=True)
-class EvalPrecision:
-    """Termination control for the series/continued-fraction loops."""
-
-    abs_tol: float = 1e-12
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-_DEFAULT_PRECISION = EvalPrecision()
-
-# Stirling coefficients B_{2n} / (2n (2n-1)) for ln Gamma, n = 1..7.
-_LGAMMA_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
-
-# Coefficients of x^{-2n} in the digamma expansion, n = 1..7 (signs folded in).
-_DIGAMMA_STIRLING = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-    -1.0 / 12.0,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(t: float) -> float:
-    """ln Gamma(t) for t > 0.
-
-    Upward recurrence pushes the argument into the region where the
-    Stirling series converges to well below 1e-12 absolute error.
-    """
+    """ln Gamma(t) for t > 0."""
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"log_gamma requires t > 0, got {t}")
-    shift = 0.0
-    x = t
-    while x < 12.0:
-        shift += math.log(x)
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = 1.0 / x
-    for c in _LGAMMA_STIRLING:
-        series += c * power
-        power *= inv2
-    value = (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + series
-    return value - shift
+    return float(sc.gammaln(t))
 
 
 def digamma(t: float) -> float:
-    """psi(t) = d/dt ln Gamma(t) for t > 0.
-
-    Asymptotic expansion once the argument has been pushed past 8 by the
-    recurrence psi(t) = psi(t+1) - 1/t; the truncated tail is then ~1e-15.
-    """
+    """psi(t) = d/dt ln Gamma(t) for t > 0."""
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"digamma requires t > 0, got {t}")
-    acc = 0.0
-    x = t
-    while x < 8.0:
-        acc += 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    power = inv2
-    for c in _DIGAMMA_STIRLING:
-        series += c * power
-        power *= inv2
-    return math.log(x) - 0.5 / x + series - acc
+    return float(sc.psi(t))
 
 
 def log_beta(x: float, y: float) -> float:
@@ -121,89 +47,24 @@ def log_beta(x: float, y: float) -> float:
     return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
 
 
-def _k1_series(x: float, precision: EvalPrecision) -> float:
-    # Ascending series: K1(x) = ln(x/2) I1(x) + 1/x - (x/4) sum_k
-    # [psi(k+1)+psi(k+2)] (x^2/4)^k / (k!(k+1)!).  Usable for x <= 2
-    # where the cancellation against ln(x/2) I1(x) stays mild.
-    half = 0.5 * x
-    q = half * half
-    term_i1 = half
-    i1 = term_i1
-    h1 = -EULER_GAMMA          # psi(1)
-    h2 = 1.0 - EULER_GAMMA     # psi(2)
-    coef = 1.0                 # (x^2/4)^k / (k!(k+1)!)
-    psi_sum = h1 + h2
-    for k in range(1, precision.max_terms + 1):
-        coef *= q / (k * (k + 1))
-        h1 += 1.0 / k
-        h2 += 1.0 / (k + 1)
-        psi_sum += (h1 + h2) * coef
-        term_i1 *= q / (k * (k + 1))
-        i1 += term_i1
-        if term_i1 < precision.abs_tol * 1e-4 and coef < precision.abs_tol * 1e-4:
-            break
-    return math.log(half) * i1 + 1.0 / x - 0.25 * x * psi_sum
-
-
-def _k1_continued_fraction_scaled(x: float, precision: EvalPrecision) -> float:
-    # Steed continued-fraction evaluation of e^x K0(x) (order mu = 0), then
-    # the standard relation K1 = K0 (x + 1/2 - h) / x.  Converges for x > 2.
-    a1 = 0.25
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = d
-    delh = d
-    q1 = 0.0
-    q2 = 1.0
-    a = -a1
-    q = a1
-    c = a1
-    s = 1.0 + q * delh
-    for i in range(2, precision.max_terms + 1):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < 1e-16:
-            break
-    else:
-        raise RuntimeError(f"K1 continued fraction failed to converge at x={x}")
-    h = a1 * h
-    k0_scaled = math.sqrt(math.pi / (2.0 * x)) / s
-    return k0_scaled * (x + 0.5 - h) / x
-
-
-def bessel_k1_scaled(x: float, precision: EvalPrecision = _DEFAULT_PRECISION) -> float:
+def bessel_k1_scaled(x: float) -> float:
     """e^x K1(x) for x > 0; stays in range for arbitrarily large arguments."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"bessel_k1_scaled requires x > 0, got {x}")
-    if x <= 2.0:
-        return math.exp(x) * _k1_series(x, precision)
-    return _k1_continued_fraction_scaled(x, precision)
+    return float(sc.k1e(x))
 
 
-def bessel_k1(x: float, precision: EvalPrecision = _DEFAULT_PRECISION) -> float:
+def bessel_k1(x: float) -> float:
     """Modified Bessel function of the second kind, order 1, for x > 0.
 
-    Relative accuracy is ~1e-13 across [1e-8, 700].  Arguments deep in the
-    exponential tail (x beyond ~746) underflow; the function then returns
-    0.0 and emits a RuntimeWarning rather than raising.
+    Arguments deep in the exponential tail (x beyond ~745) underflow; the
+    function then returns 0.0 and emits a RuntimeWarning rather than raising.
     """
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"bessel_k1 requires x > 0, got {x}")
-    if x <= 2.0:
-        return _k1_series(x, precision)
-    value = _k1_continued_fraction_scaled(x, precision) * math.exp(-x)
+    value = float(sc.k1(x))
     if value == 0.0:
         warnings.warn(
             f"bessel_k1 underflowed to 0 at x={x}", RuntimeWarning, stacklevel=2

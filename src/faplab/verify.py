@@ -194,43 +194,35 @@ def _check_entropy_scaling(quick: bool):
 # fap channel
 
 
-def _sup_gap_2d(speed: float, lam: float = 1.0) -> float:
-    g = fap.ChannelGeometry(2, lam, 1.0)
-    red = fap.zero_drift_reduction(g, 0.0)
-    ys = np.linspace(-10.0 * lam, 10.0 * lam, 241)
-    return _grid_worst(
-        abs(
-            fap.fap_pdf_2d(g, fap.DriftVector(0.0, speed), fap.FapPoint((0.0,), (y,)))
-            - float(cy.pdf_univariate(red, y))
-        )
-        for y in ys
-    )
+def _sup_gap_2d(speed: float, ys) -> float:
+    """Sup over the outputs ys of |drifted 2D density - Cauchy limit| (lam = sigma2 = 1)."""
+    g = fap.ChannelGeometry(2, 1.0, 1.0)
+    ys = np.asarray(ys, dtype=float)
+    drifted = fap.fap_density(g, fap.DriftVector(0.0, speed), (0.0,), ys[:, None])
+    limit = cy.pdf_univariate(fap.zero_drift_reduction(g, 0.0), ys)
+    return float(np.max(np.abs(drifted - limit)))
 
 
-def _sup_gap_3d(speed: float, lam: float = 1.0) -> float:
-    g = fap.ChannelGeometry(3, lam, 1.0)
-    red = fap.zero_drift_reduction(g, (0.0, 0.0))
-    rs = np.linspace(0.0, 10.0 * lam, 101)
-    return _grid_worst(
-        abs(
-            fap.fap_pdf_3d(
-                g, fap.DriftVector(0.0, 0.0, speed), fap.FapPoint((0.0, 0.0), (r, 0.0))
-            )
-            - float(cy.pdf_multivariate(red, [[r, 0.0]])[0])
-        )
-        for r in rs
-    )
+def _sup_gap_3d(speed: float, rs) -> float:
+    """Sup over the outputs (r, 0), r in rs, of |drifted 3D density - bivariate Cauchy limit|."""
+    g = fap.ChannelGeometry(3, 1.0, 1.0)
+    pts = np.column_stack([rs, np.zeros(len(rs))])
+    drifted = fap.fap_density(g, fap.DriftVector(0.0, 0.0, speed), (0.0, 0.0), pts)
+    limit = cy.pdf_multivariate(fap.zero_drift_reduction(g, (0.0, 0.0)), pts)
+    return float(np.max(np.abs(drifted - limit)))
 
 
 def _check_zero_drift_limit_2d(quick: bool):
-    gaps = [_sup_gap_2d(s) for s in (1e-2, 1e-4, 1e-6, 1e-8)]
+    ys = np.linspace(-10.0, 10.0, 241)
+    gaps = [_sup_gap_2d(s, ys) for s in (1e-2, 1e-4, 1e-6, 1e-8)]
     mono = all(b < a for a, b in zip(gaps, gaps[1:]))
     ok = mono and gaps[-1] < 1e-3
     return ok, f"sup gaps {['%.2e' % g for g in gaps]} (monotone {mono})"
 
 
 def _check_zero_drift_limit_3d(quick: bool):
-    gaps = [_sup_gap_3d(s) for s in (1e-2, 1e-4, 1e-6, 1e-8)]
+    rs = np.linspace(0.0, 10.0, 101)
+    gaps = [_sup_gap_3d(s, rs) for s in (1e-2, 1e-4, 1e-6, 1e-8)]
     mono = all(b < a for a, b in zip(gaps, gaps[1:]))
     ok = mono and gaps[-1] < 1e-3
     return ok, f"sup gaps {['%.2e' % g for g in gaps]} (monotone {mono})"
@@ -256,19 +248,15 @@ def _check_translation_covariance(quick: bool):
 
 
 def _check_positivity(quick: bool):
-    g2 = fap.ChannelGeometry(2, 1.0, 1.0)
-    g3 = fap.ChannelGeometry(3, 1.0, 1.0)
-    ok = True
-    for y in np.linspace(-50, 50, 101):
-        ok &= fap.fap_pdf_2d(g2, fap.DriftVector(0.3, 0.9), fap.FapPoint((0.0,), (y,))) > 0
-    for r in np.linspace(0, 50, 51):
-        ok &= (
-            fap.fap_pdf_3d(
-                g3, fap.DriftVector(0.1, -0.2, 0.8), fap.FapPoint((0.0, 0.0), (r, r))
-            )
-            > 0
-        )
-    return bool(ok), "density positive on the grid" if ok else "non-positive value found"
+    ys = np.linspace(-50, 50, 101)[:, None]
+    rs = np.linspace(0, 50, 51)
+    f2 = fap.fap_density(fap.ChannelGeometry(2, 1.0, 1.0), fap.DriftVector(0.3, 0.9), (0.0,), ys)
+    f3 = fap.fap_density(
+        fap.ChannelGeometry(3, 1.0, 1.0), fap.DriftVector(0.1, -0.2, 0.8), (0.0, 0.0),
+        np.column_stack([rs, rs]),
+    )
+    ok = bool(np.all(f2 > 0) and np.all(f3 > 0))
+    return ok, "density positive on the grid" if ok else "non-positive value found"
 
 
 def _check_marginal_3d_to_2d(quick: bool):
@@ -288,15 +276,42 @@ def _check_marginal_3d_to_2d(quick: bool):
     return worst <= 1e-6, f"worst marginalization gap {worst:.2e} (tol 1e-6)"
 
 
+def _arrival_mass_by_quadrature(g: fap.ChannelGeometry, v: fap.DriftVector) -> float:
+    """Total arrival mass by integrating the density over the receiver plane (input at 0)."""
+    origin = (0.0,) * g.n_transverse
+    f = lambda y: fap.fap_pdf(g, v, fap.FapPoint(origin, y))
+    if g.dimension == 2:
+        return integrate_real_line(f, scale=g.lam, epsabs=1e-11, epsrel=1e-11)
+    if not any(v.transverse):  # isotropic in the plane
+        return integrate_plane_radial(lambda r: f((r, 0.0)), scale=g.lam)
+    return integrate_plane(f, scale=g.lam, epsabs=1e-8, epsrel=1e-8)
+
+
 def _check_arrival_probability_zero_drift(quick: bool):
-    p2 = fap.arrival_probability(fap.ChannelGeometry(2, 2.0, 0.5), fap.DriftVector.zero(2))
-    p3 = fap.arrival_probability(fap.ChannelGeometry(3, 0.8, 1.5), fap.DriftVector.zero(3))
-    worst = max(abs(p2 - 1.0), abs(p3 - 1.0))
-    return worst <= 1e-6, f"worst |arrival mass - 1| = {worst:.2e} (tol 1e-6)"
+    g2, g3 = fap.ChannelGeometry(2, 2.0, 0.5), fap.ChannelGeometry(3, 0.8, 1.5)
+    cases = [(g2, v) for v in ((0.0, 0.0), (0.8, 0.75), (0.0, 1.0), (1.0, 0.0), (0.8, -0.5))]
+    cases += [(g3, (0.0, 0.0, 0.0)), (g3, (0.0, 0.0, 0.75))]
+    if not quick:  # nested plane quadrature, under a second
+        cases.append((g3, (0.5, -0.3, 0.75)))
+    worst = 0.0
+    for g, comps in cases:
+        v = fap.DriftVector(*comps)
+        worst = max(worst, abs(_arrival_mass_by_quadrature(g, v) - fap.arrival_probability(g, v)))
+    return worst <= 1e-8, (
+        f"worst |quadrature mass - closed form| = {worst:.2e} over {len(cases)} drifts (tol 1e-8)"
+    )
 
 
 # ---------------------------------------------------------------------------
 # particle simulation
+
+
+def _tan_grid_cdf(thetas, nodes, f):
+    """CDF on nodes = lam tan(thetas) from density values f there, by cumulative trapezoid."""
+    fw = f * (1.0 + np.tan(thetas) ** 2)
+    mass = np.concatenate([[0.0], np.cumsum(0.5 * (fw[1:] + fw[:-1]) * np.diff(thetas))])
+    mass /= mass[-1]
+    return lambda x: np.interp(x, nodes, mass, left=0.0, right=1.0)
 
 
 def _drifted_arrival_cdf_2d(g: fap.ChannelGeometry, v: fap.DriftVector, n_grid=4001):
@@ -304,30 +319,16 @@ def _drifted_arrival_cdf_2d(g: fap.ChannelGeometry, v: fap.DriftVector, n_grid=4
     by cumulative trapezoid on the tan-substituted grid."""
     thetas = np.linspace(-0.5 * math.pi, 0.5 * math.pi, n_grid)[1:-1]
     ys = g.lam * np.tan(thetas)
-    weights = g.lam * (1.0 + np.tan(thetas) ** 2)
-    f = np.array(
-        [fap.fap_pdf_2d(g, v, fap.FapPoint((0.0,), (y,))) for y in ys]
-    )
-    mass = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] * weights[1:] + f[:-1] * weights[:-1]) * np.diff(thetas))])
-    mass /= mass[-1]
-    return lambda x: np.interp(x, ys, mass, left=0.0, right=1.0)
+    return _tan_grid_cdf(thetas, ys, fap.fap_density(g, v, (0.0,), ys[:, None]))
 
 
 def _drifted_radial_cdf_3d(g: fap.ChannelGeometry, v_z: float, n_grid=3001):
     """Conditional CDF of the transverse arrival radius for purely traversal drift."""
     thetas = np.linspace(0.0, 0.5 * math.pi, n_grid)[:-1]
     rs = g.lam * np.tan(thetas)
-    weights = g.lam * (1.0 + np.tan(thetas) ** 2)
-    v = fap.DriftVector(0.0, 0.0, v_z)
-    f = np.array(
-        [
-            2.0 * math.pi * r * fap.fap_pdf_3d(g, v, fap.FapPoint((0.0, 0.0), (r, 0.0)))
-            for r in rs
-        ]
-    )
-    mass = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] * weights[1:] + f[:-1] * weights[:-1]) * np.diff(thetas))])
-    mass /= mass[-1]
-    return lambda x: np.interp(x, rs, mass, left=0.0, right=1.0)
+    pts = np.column_stack([rs, np.zeros_like(rs)])
+    f = 2.0 * math.pi * rs * fap.fap_density(g, fap.DriftVector(0.0, 0.0, v_z), (0.0, 0.0), pts)
+    return _tan_grid_cdf(thetas, rs, f)
 
 
 def _shape_tolerance(n_hits: int) -> float:

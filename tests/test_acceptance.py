@@ -28,10 +28,10 @@ from faplab.cauchy import (
     sample_univariate,
 )
 from faplab.cli import EXIT_OK, rerun_from_manifest, run
-from faplab.fap import ChannelGeometry, DriftVector, FapPoint, fap_pdf_2d, fap_pdf_3d, zero_drift_reduction
-from faplab.cauchy import pdf_multivariate, pdf_univariate
+from faplab.fap import ChannelGeometry
 from faplab.sim import ks_statistic, ks_two_sample, sample_exact_zero_drift
 from faplab.special import digamma, w2
+from faplab.verify import _sup_gap_2d, _sup_gap_3d
 
 LN_4PI = math.log(4.0 * math.pi)
 
@@ -77,37 +77,14 @@ def test_criterion_03_phi_cross_consistency():
 
 
 def test_criterion_04_zero_drift_reduction():
-    g2 = ChannelGeometry(2, 1.0, 1.0)
-    red2 = zero_drift_reduction(g2, 0.0)
+    speeds = (1e-2, 1e-4, 1e-6, 1e-8)
     ys = np.linspace(-10.0, 10.0, 241)
-    sups2 = []
-    for speed in (1e-2, 1e-4, 1e-6, 1e-8):
-        sups2.append(
-            max(
-                abs(
-                    fap_pdf_2d(g2, DriftVector(0.0, speed), FapPoint((0.0,), (y,)))
-                    - float(pdf_univariate(red2, y))
-                )
-                for y in ys
-            )
-        )
+    sups2 = [_sup_gap_2d(speed, ys) for speed in speeds]
     assert sups2[-1] < 1e-3
     assert all(b < a for a, b in zip(sups2, sups2[1:]))
 
-    g3 = ChannelGeometry(3, 1.0, 1.0)
-    red3 = zero_drift_reduction(g3, (0.0, 0.0))
     rs = np.linspace(0.0, 10.0, 121)
-    sups3 = []
-    for speed in (1e-2, 1e-4, 1e-6, 1e-8):
-        sups3.append(
-            max(
-                abs(
-                    fap_pdf_3d(g3, DriftVector(0.0, 0.0, speed), FapPoint((0.0, 0.0), (r, 0.0)))
-                    - float(pdf_multivariate(red3, [[r, 0.0]])[0])
-                )
-                for r in rs
-            )
-        )
+    sups3 = [_sup_gap_3d(speed, rs) for speed in speeds]
     assert sups3[-1] < 1e-3
     assert all(b < a for a, b in zip(sups3, sups3[1:]))
     report(4, f"2D sup gap at 1e-8 drift: {sups2[-1]:.1e}; 3D: {sups3[-1]:.1e}; both monotone")

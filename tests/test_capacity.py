@@ -124,6 +124,14 @@ def test_dispersion_on_samples():
     assert dispersion_of(3.0 * x, SPEC1) == pytest.approx(3.0 * d, rel=1e-10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dispersion_rejects_non_finite_samples(bad):
+    x = sample_univariate(UnivariateCauchy(0.0, 1.5), 5000, seed=6)
+    x[17] = bad
+    with pytest.raises(ValueError, match="finite"):
+        dispersion_of(x, SPEC1)
+
+
 # feasibility ---------------------------------------------------------------------
 
 

@@ -32,6 +32,23 @@ def test_unknown_flag_usage_error():
     assert run(["not-a-subcommand"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--channel", "fap2d", "--A", "nan"],
+        ["capacity", "--channel", "fap2d", "--A", "2", "--lambda", "-inf"],
+        ["density", "--points", "0", "--out", "unused"],
+        ["simulate", "--particles", "2.5", "--out", "unused"],
+        ["table1", "--a-count", "-3", "--out", "unused"],
+    ],
+)
+def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "unused").exists()
+
+
 def test_density_csv_zero_drift(tmp_path):
     out = tmp_path / "d"
     rc = run(["density", "-n", "2", "--lambda", "2", "--points", "9",

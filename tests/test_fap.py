@@ -269,20 +269,52 @@ def test_density_grid_3d_row_major():
     assert rows[1][:2] == (-1.0, 0.0)  # inner index runs over y2
 
 
-@pytest.mark.parametrize("dim, points", [(2, 401), (3, 41)])
-def test_density_grid_zero_drift_matches_pointwise(dim, points):
+@pytest.mark.parametrize(
+    "dim, points, drift",
+    [
+        pytest.param(2, 401, (0.0, 0.0), id="2-401"),
+        pytest.param(3, 41, (0.0, 0.0, 0.0), id="3-41"),
+        pytest.param(2, 401, (0.3, -0.5), id="2-401-drifted"),
+        pytest.param(3, 41, (0.3, 0.2, -0.5), id="3-41-drifted"),
+    ],
+)
+def test_density_grid_zero_drift_matches_pointwise(dim, points, drift):
     g = ChannelGeometry(dim, 1.3, 0.7)
+    v = DriftVector(*drift)
     x = np.full(dim - 1, 0.4)
-    _, rows = density_grid(g, DriftVector.zero(dim), x, -10.0, 10.0, points)
+    _, rows = density_grid(g, v, x, -10.0, 10.0, points)
     for row in rows[:: max(1, len(rows) // 97)]:
-        want = fap_pdf(g, DriftVector.zero(dim), FapPoint(x, row[:-1]))
+        want = fap_pdf(g, v, FapPoint(x, row[:-1]))
         assert row[-1] == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("dim", [2, 3])
-def test_density_grid_zero_drift_far_tails_are_zero(dim):
-    _, rows = density_grid(ChannelGeometry(dim), DriftVector.zero(dim), None, -1e300, 1e300, 3)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "dim, drift",
+    [
+        pytest.param(2, (0.0, 0.0), id="2"),
+        pytest.param(3, (0.0, 0.0, 0.0), id="3"),
+        pytest.param(2, (0.3, -0.5), id="2-drifted"),
+        pytest.param(3, (0.3, 0.2, -0.5), id="3-drifted"),
+    ],
+)
+def test_density_grid_zero_drift_far_tails_are_zero(dim, drift):
+    _, rows = density_grid(ChannelGeometry(dim), DriftVector(*drift), None, -1e300, 1e300, 3)
     densities = np.array([row[-1] for row in rows])
     assert np.all(np.isfinite(densities))
     assert np.count_nonzero(densities) == 1  # only the node at the origin
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "dim, drift, y",
+    [
+        (3, (0.0, 0.0, -0.5), (1e200, 0.0)),
+        (2, (0.3, -0.5), (1e300,)),
+        (2, (0.3, -0.5), (math.inf,)),
+    ],
+)
+def test_drifted_density_far_tail_is_zero(dim, drift, y):
+    pdf = fap_pdf_2d if dim == 2 else fap_pdf_3d
+    pt = FapPoint((0.0,) * (dim - 1), y)
+    assert pdf(ChannelGeometry(dim), DriftVector(*drift), pt) == 0.0

@@ -38,6 +38,14 @@ def test_config_validation():
         SimConfig(G2, DriftVector(0.0, 0.0, 0.0))  # drift arity mismatch
 
 
+@pytest.mark.parametrize("field", ["n_particles", "max_steps"])
+def test_config_counts_must_be_integers(field):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(G2, DriftVector(0.0, 0.0), **{field: 2000.0})
+    cfg = SimConfig(G2, DriftVector(0.0, 0.0), **{field: np.int64(2000)})
+    assert type(cfg.to_dict()[field]) is int
+
+
 @pytest.mark.parametrize("dt", [math.inf, math.nan])
 def test_config_rejects_non_finite_dt(dt):
     with pytest.raises(ValueError, match="finite"):

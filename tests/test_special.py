@@ -8,7 +8,6 @@ from scipy import integrate
 
 from faplab.special import (
     EULER_GAMMA,
-    EvalPrecision,
     bessel_k1,
     bessel_k1_scaled,
     digamma,
@@ -196,9 +195,3 @@ def test_log_beta_matches_gamma_ratio():
         expected = math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
         assert log_beta(x, y) == pytest.approx(expected, abs=1e-12)
 
-
-def test_eval_precision_invariants():
-    with pytest.raises(ValueError):
-        EvalPrecision(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        EvalPrecision(max_terms=0)
