@@ -16,10 +16,10 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cauchy import (
     Degenerate,
@@ -141,7 +141,7 @@ class MaxentProfile:
     mu: float
     target: float
 
-    @property
+    @cached_property
     def log_norm(self) -> float:
         """ln of the normalizing constant: pi^{p/2} k^p Gamma(mu - p/2) / Gamma(mu)."""
         return (
@@ -269,6 +269,8 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
         obj = np.asarray(obj, dtype=float)
         if not np.isfinite(obj).all():
             raise ValueError("dispersion of samples needs finite values (got NaN or inf)")
+    from scipy.optimize import brentq
+
     c = spec.c
     g = lambda k: log_moment(obj, k, p=spec.p) - c
     s = _robust_scale(obj)
@@ -576,6 +578,8 @@ def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
     f(y) proportional to (1 + ||y/k||^2)^(-mu); the exponent is found by
     monotone root finding on the numerically integrated constraint value.
     """
+    from scipy.optimize import brentq
+
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
     c = spec.c

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -79,6 +80,18 @@ class MultivariateCauchy:
     def dim(self) -> int:
         return self.location.size
 
+    @cached_property
+    def log_norm(self) -> float:
+        """ln of the density's constant Gamma((1+p)/2) / (Gamma(1/2) pi^{p/2} |Sigma|^{1/2})."""
+        p = self.dim
+        log_det = 2.0 * np.sum(np.log(np.diag(self._chol)))
+        return (
+            log_gamma(0.5 * (1 + p))
+            - log_gamma(0.5)
+            - 0.5 * p * math.log(math.pi)
+            - 0.5 * log_det
+        )
+
     def isotropic_scale(self) -> float:
         """The common scale gamma when the scale matrix is diag(gamma^2, ...), else raise."""
         g2 = self.scale_matrix[0, 0]
@@ -131,14 +144,7 @@ def pdf_multivariate(d: MultivariateCauchy, x):
     for i in range(p):
         w[:, i] = (delta[:, i] - w[:, :i] @ d._chol[i, :i]) / d._chol[i, i]
     q = np.sum(w * w, axis=1)
-    log_det = 2.0 * np.sum(np.log(np.diag(d._chol)))
-    log_norm = (
-        log_gamma(0.5 * (1 + p))
-        - log_gamma(0.5)
-        - 0.5 * p * math.log(math.pi)
-        - 0.5 * log_det
-    )
-    out = np.exp(log_norm - 0.5 * (1 + p) * np.log1p(q))
+    out = np.exp(d.log_norm - 0.5 * (1 + p) * np.log1p(q))
     return float(out[0]) if squeeze else out
 
 

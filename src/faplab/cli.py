@@ -64,14 +64,15 @@ def _checked(convert, accept, what: str):
 
 
 _finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 
 
 def _geometry_args(parser: argparse.ArgumentParser, with_drift: bool = True) -> None:
     parser.add_argument("-n", "--dimension", type=int, default=2, choices=(2, 3))
-    parser.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0,
+    parser.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0,
                         help="transmission distance (default 1)")
-    parser.add_argument("--sigma2", type=_finite_float, default=1.0,
+    parser.add_argument("--sigma2", type=_positive_float, default=1.0,
                         help="microscopic diffusion coefficient (default 1)")
     if with_drift:
         parser.add_argument("--vx", type=_finite_float, default=0.0,
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     _geometry_args(p_sim)
     p_sim.add_argument("--x1", type=_finite_float, default=0.0)
     p_sim.add_argument("--x2", type=_finite_float, default=0.0)
-    p_sim.add_argument("--dt", type=_finite_float, default=1e-4)
+    p_sim.add_argument("--dt", type=_positive_float, default=1e-4)
     p_sim.add_argument("--particles", type=_positive_int, default=100_000)
     p_sim.add_argument("--max-steps", type=_positive_int, default=10_000_000)
     p_sim.add_argument("--seed", type=int, default=42)
@@ -123,14 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
                        required=True)
     p_cap.add_argument("--A", dest="A", type=_finite_float, required=True,
                        help="output dispersion level")
-    p_cap.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
-    p_cap.add_argument("--sigma", type=_finite_float, default=1.0,
+    p_cap.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
+    p_cap.add_argument("--sigma", type=_positive_float, default=1.0,
                        help="noise standard deviation for the Gaussian baseline")
     p_cap.add_argument("--out", type=Path, default=None)
 
     p_max = sub.add_parser("maxent", help="constrained max-entropy profile")
     p_max.add_argument("--p", type=int, default=1, choices=(1, 2))
-    p_max.add_argument("--k", type=_finite_float, default=1.0)
+    p_max.add_argument("--k", type=_positive_float, default=1.0)
     p_max.add_argument("--c", type=_finite_float, default=None,
                        help="override the log-moment target (default: dimension constant)")
     p_max.add_argument("--grid-points", type=_positive_int, default=33)
@@ -146,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--a-min", type=_finite_float, default=1.0)
     p_tab.add_argument("--a-max", type=_finite_float, default=8.0)
     p_tab.add_argument("--a-count", type=_positive_int, default=29)
-    p_tab.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
-    p_tab.add_argument("--sigma", type=_finite_float, default=1.0)
+    p_tab.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
+    p_tab.add_argument("--sigma", type=_positive_float, default=1.0)
     p_tab.add_argument("--out", type=Path, required=True)
 
     return parser

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import k1e
 
 from .cauchy import MultivariateCauchy, UnivariateCauchy
+from .special import scipy_special
 
 __all__ = [
     "ChannelGeometry",
@@ -158,7 +158,7 @@ def fap_density(g: ChannelGeometry, v: DriftVector, x, y) -> np.ndarray:
             # (-v2 lam + v1 d - |v| rho)/s2 is <= 0 by Cauchy-Schwarz, so the
             # combined exponential never overflows even though its factors would.
             exponent = (-v2 * lam + v1 * d[:, 0] - speed * rho) / s2
-            bessel = k1e(speed * rho / s2)
+            bessel = scipy_special().k1e(speed * rho / s2)
             density = (speed * lam / (s2 * math.pi)) * np.exp(exponent) * bessel / rho
     else:
         v1, v2, v3 = v.components

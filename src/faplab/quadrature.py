@@ -16,8 +16,6 @@ import math
 import warnings
 from typing import Callable, Sequence
 
-from scipy import integrate
-
 __all__ = [
     "integrate_real_line",
     "integrate_half_line",
@@ -31,6 +29,9 @@ class QuadratureError(RuntimeError):
 
 
 def _quad(f, a, b, epsabs, epsrel, limit=300):
+    # Imported here so that importing the package does not load scipy.
+    from scipy import integrate
+
     # QUADPACK's IntegrationWarning is advisory; the acceptance policy below
     # (finite value, error estimate small absolutely or relatively) decides.
     with warnings.catch_warnings():

@@ -36,7 +36,6 @@ import math
 import numbers
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -324,6 +323,8 @@ def simulate_first_arrival(
     if n_workers == 1 or len(bounds) == 1:
         parts = [_simulate_chunk(cfg, x_in, s, e) for s, e in bounds]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [pool.submit(_simulate_chunk, cfg, x_in, s, e) for s, e in bounds]
             parts = [f.result() for f in futures]

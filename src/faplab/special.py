@@ -5,13 +5,16 @@ Thin wrappers over ``scipy.special``: log-gamma (``gammaln``), digamma
 exponentially scaled (``k1e``).  The wrappers add the domain checks, return
 plain floats and warn when K1 underflows.  ``w2`` is the digamma difference
 that fixes the dispersion constraint constants.
+
+``scipy.special`` is imported on first use, through ``scipy_special``, so
+that commands which never evaluate a special function (closed-form
+capacities, zero-drift densities, simulation) start without it.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
-
-from scipy import special as sc
 
 __all__ = [
     "EULER_GAMMA",
@@ -26,12 +29,20 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015328606
 
 
+@functools.cache
+def scipy_special():
+    """The ``scipy.special`` module, imported on the first call."""
+    from scipy import special
+
+    return special
+
+
 def log_gamma(t: float) -> float:
     """ln Gamma(t) for t > 0."""
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"log_gamma requires t > 0, got {t}")
-    return float(sc.gammaln(t))
+    return float(scipy_special().gammaln(t))
 
 
 def digamma(t: float) -> float:
@@ -39,7 +50,7 @@ def digamma(t: float) -> float:
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"digamma requires t > 0, got {t}")
-    return float(sc.psi(t))
+    return float(scipy_special().psi(t))
 
 
 def log_beta(x: float, y: float) -> float:
@@ -52,7 +63,7 @@ def bessel_k1_scaled(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"bessel_k1_scaled requires x > 0, got {x}")
-    return float(sc.k1e(x))
+    return float(scipy_special().k1e(x))
 
 
 def bessel_k1(x: float) -> float:
@@ -64,7 +75,7 @@ def bessel_k1(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"bessel_k1 requires x > 0, got {x}")
-    value = float(sc.k1(x))
+    value = float(scipy_special().k1(x))
     if value == 0.0:
         warnings.warn(
             f"bessel_k1 underflowed to 0 at x={x}", RuntimeWarning, stacklevel=2

@@ -26,6 +26,7 @@ from faplab.cauchy import (
     sample_univariate,
 )
 from faplab.fap import ChannelGeometry
+from faplab.special import log_gamma, w2
 
 SPEC1 = ConstraintSpec(1)
 SPEC2 = ConstraintSpec(2)
@@ -285,6 +286,25 @@ def test_maxent_profile_matches_cauchy_shape():
 
     for y in (-5.0, 0.0, 1.1, 14.0):
         assert float(p1.pdf(y)) == pytest.approx(float(pdf_univariate(d, y)), rel=1e-6)
+
+
+@pytest.mark.parametrize("p, k", [(1, 1.7), (2, 0.8)])
+def test_maxent_cached_normalizer_is_exact(p, k):
+    prof = maxent_profile(ConstraintSpec(p), k)
+    mu = prof.mu
+    log_norm = (
+        0.5 * p * math.log(math.pi) + p * math.log(k) + log_gamma(mu - 0.5 * p) - log_gamma(mu)
+    )
+    y = np.random.default_rng(2).normal(size=(40, p)) * 5.0
+    if p == 1:
+        y = y[:, 0]
+        q = (y / k) ** 2
+    else:
+        q = np.sum((y / k) ** 2, axis=1)
+    first = prof.pdf(y)
+    assert np.array_equal(first, np.exp(-mu * np.log1p(q) - log_norm))
+    assert np.array_equal(prof.pdf(y), first)
+    assert prof.entropy_closed_form() == log_norm + mu * w2(mu, 0.5 * p)
 
 
 def test_maxent_exponent_monotone_in_target():

@@ -24,6 +24,7 @@ from faplab.cauchy import (
 from faplab.capacity import entropy_estimate
 from faplab.quadrature import integrate_plane, integrate_plane_radial
 from faplab.sim import ks_statistic, ks_two_sample
+from faplab.special import log_gamma
 
 LN_4PI = math.log(4.0 * math.pi)
 
@@ -81,6 +82,22 @@ def test_pdf_multivariate_p1_equals_univariate():
         assert pdf_multivariate(m, [[y]])[0] == pytest.approx(
             float(pdf_univariate(u, y)), abs=1e-12
         )
+
+
+def test_pdf_multivariate_cached_normalizer_is_exact():
+    sig = np.array([[2.0, 0.7], [0.7, 0.9]])
+    d = MultivariateCauchy([0.3, -1.1], sig)
+    pts = np.random.default_rng(1).normal(size=(50, 2)) * 3.0
+    chol = np.linalg.cholesky(sig)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    log_norm = log_gamma(1.5) - log_gamma(0.5) - math.log(math.pi) - 0.5 * log_det
+    delta = pts - d.location
+    w0 = delta[:, 0] / chol[0, 0]
+    w1 = (delta[:, 1] - w0 * chol[1, 0]) / chol[1, 1]
+    want = np.exp(log_norm - 1.5 * np.log1p(w0 * w0 + w1 * w1))
+    first = pdf_multivariate(d, pts)
+    assert np.array_equal(first, want)
+    assert np.array_equal(pdf_multivariate(d, pts), first)
 
 
 def test_pdf_dimension_mismatch():

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import faplab
 from faplab import __version__
 from faplab.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, rerun_from_manifest, run
 
@@ -40,6 +45,12 @@ def test_unknown_flag_usage_error():
         ["density", "--points", "0", "--out", "unused"],
         ["simulate", "--particles", "2.5", "--out", "unused"],
         ["table1", "--a-count", "-3", "--out", "unused"],
+        ["density", "--lambda", "0", "--out", "unused"],
+        ["density", "--sigma2", "-1", "--out", "unused"],
+        ["simulate", "--dt", "-1", "--out", "unused"],
+        ["maxent", "--k", "-1"],
+        ["capacity", "--channel", "fap2d", "--A", "2", "--lambda", "-1"],
+        ["capacity", "--channel", "gaussian", "--A", "2", "--sigma", "0"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
@@ -47,6 +58,40 @@ def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     assert run(argv) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "unused").exists()
+
+
+_IMPORT_BUDGET_SCRIPT = """
+import sys
+
+import faplab, faplab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+run = faplab.cli.run
+for argv, code in (
+    (["capacity", "--channel", "fap3d", "--A", "3", "--lambda", "1.5"], 0),
+    (["table1", "--out", "table1"], 0),
+    (["density", "-n", "3", "--points", "5", "--out", "density"], 0),
+    (["simulate", "--dt", "1e-2", "--particles", "50", "--max-steps", "2000",
+      "--out", "simulate"], 0),
+    (["capacity", "--channel", "fap2d", "--A", "nan"], 2),
+):
+    assert run(argv) == code, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+assert run(["maxent", "--p", "2", "--grid-points", "5"]) == 0
+assert "scipy.special" in sys.modules and "scipy.optimize" in sys.modules
+"""
+
+
+def test_closed_form_commands_do_not_import_scipy(tmp_path):
+    src = str(Path(faplab.__file__).resolve().parents[1])
+    env = dict(os.environ, FAPLAB_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_SCRIPT], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_density_csv_zero_drift(tmp_path):
