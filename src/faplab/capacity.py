@@ -5,8 +5,16 @@ unique k > 0 at which E ln(1 + ||Y/k||^2) equals the dimension constant
 w2((1+p)/2, p/2) (2 ln 2 on the line, 2 in the plane).  Feasible output
 signals are those whose dispersion lies between the channel's noise scale
 and a prescribed ceiling A; under that constraint the arrival-position
-channel capacities have closed forms, verified here by quadrature,
-constrained maximum-entropy solving, and sample-based entropy estimation.
+channel capacities have closed forms, verified here by constrained
+maximum-entropy solving and sample-based entropy estimation.
+
+Closed forms are the production path: the Cauchy log-moments and the
+max-entropy constraint value w2(mu, p/2) are elementary or digamma
+functions, so dispersions and max-entropy exponents are root-solves over
+them.  What has no closed form (the log-moment of a max-entropy profile at
+a foreign scale, quadrature entropies, the normalization of a custom
+density) goes through one quadrature route, ``_law``, which also serves as
+the independent cross-check of the closed forms.
 """
 
 from __future__ import annotations
@@ -181,83 +189,110 @@ class MaxentProfile:
         return r, f
 
 
-Distribution = Union[
-    UnivariateCauchy, MultivariateCauchy, Degenerate, MaxentProfile, CustomDensity
-]
+def _law(obj):
+    """(dim, scale, radial, integrate) for a law with a density; None otherwise.
 
-
-def _signal_dim(obj) -> int:
+    This is the one quadrature route for laws.  integrate(h, extra=0.0) is
+    the integral over R^dim of h(f(y), ||y||) for the law's density f, under
+    the cotangent substitution around the law's center: on the line in
+    dimension 1, radially for a law isotropic about the origin in the plane
+    (radial is True), and over the full plane otherwise.  An integrand with
+    structure at a second length as well (k in a log-moment) passes it as
+    extra; the substitution then uses the sum of the two lengths.
+    """
     if isinstance(obj, UnivariateCauchy):
-        return 1
-    if isinstance(obj, (MultivariateCauchy, Degenerate)):
-        return obj.dim
-    if isinstance(obj, (MaxentProfile, CustomDensity)):
-        return obj.p if isinstance(obj, MaxentProfile) else obj.dim
-    arr = np.asarray(obj, dtype=float)
-    return 1 if arr.ndim == 1 else arr.shape[1]
+        dim, center, scale, radial = 1, obj.location, obj.scale, False
+        pdf = lambda y: float(pdf_univariate(obj, y))
+    elif isinstance(obj, MultivariateCauchy):
+        dim, center, pdf = obj.dim, obj.location, lambda y: pdf_multivariate(obj, y)
+        s2 = float(np.max(np.diag(obj.scale_matrix)))
+        scale = math.sqrt(s2)
+        radial = (
+            dim == 2
+            and not np.any(obj.location)
+            and np.allclose(obj.scale_matrix, s2 * np.eye(2), rtol=1e-12, atol=0.0)
+        )
+    elif isinstance(obj, MaxentProfile):
+        dim, center, scale, radial = obj.p, 0.0, obj.k, obj.p == 2
+        pdf = lambda y: float(obj.pdf([y])[0])
+    elif isinstance(obj, CustomDensity):
+        dim, center, scale, radial = obj.dim, obj.center, obj.scale, False
+        pdf = lambda y: float(obj.pdf(y))
+    else:
+        return None
+    c = np.broadcast_to(np.asarray(center, dtype=float), (dim,))
+
+    def integrate(h: Callable[[float, float], float], extra: float = 0.0) -> float:
+        s = scale + extra
+        if dim == 1:
+            return integrate_real_line(lambda y: h(pdf(y), abs(y)), center=float(c[0]), scale=s)
+        if dim != 2:
+            raise ValueError("quadrature supports dimensions 1 and 2")
+        if radial:
+            return integrate_plane_radial(lambda r: h(pdf((r, 0.0)), r), scale=s)
+        return integrate_plane(lambda y: h(pdf(y), math.hypot(*y)), center=tuple(c), scale=s)
+
+    return dim, scale, radial, integrate
+
+
+def _bivariate_cauchy_log_moment(gamma: float, k: float) -> float:
+    """E ln(1 + ||Y/k||^2) for the central isotropic bivariate Cauchy law of scale gamma.
+
+    (2 gamma / a) atan(a / gamma) with a = sqrt(k^2 - gamma^2) above gamma,
+    (2 gamma / b) artanh(b / gamma) with b = sqrt(gamma^2 - k^2) below it, and
+    2 at k = gamma.  Factored differences and artanh(b / gamma) written as
+    log1p((gamma - k + b) / k) avoid cancellation near k = gamma and k << gamma.
+    """
+    if k > gamma:
+        a = math.sqrt((k - gamma) * (k + gamma))
+        return 2.0 * gamma / a * math.atan(a / gamma)
+    if k < gamma:
+        b = math.sqrt((gamma - k) * (gamma + k))
+        return 2.0 * gamma / b * math.log1p((gamma - k + b) / k)
+    return 2.0
 
 
 def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
-    """E ln(1 + ||Y/k||^2): quadrature for closed-form laws, mean for samples."""
+    """E ln(1 + ||Y/k||^2).
+
+    Closed forms for a univariate Cauchy law, ln(((gamma + k)^2 + x0^2) / k^2),
+    and for a central isotropic bivariate Cauchy law; the quadrature route of
+    ``_law`` for every other law with a density; the mean over samples, a
+    point mass counting as one sample.
+    """
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
     obj = dist_or_samples
-    if p is not None and _signal_dim(obj) != p:
-        raise ValueError(f"input has dimension {_signal_dim(obj)}, expected {p}")
-
-    if isinstance(obj, Degenerate):
-        loc = np.atleast_1d(np.asarray(obj.location, dtype=float))
-        return float(np.log1p(np.sum((loc / k) ** 2)))
-    # The integrand has structure at both the distribution's own scale and
-    # at k, so the tangent substitution uses their sum.
-    if isinstance(obj, UnivariateCauchy):
-        f = lambda y: float(pdf_univariate(obj, y)) * math.log1p((y / k) ** 2)
-        return integrate_real_line(f, center=obj.location, scale=obj.scale + k)
-    if isinstance(obj, MultivariateCauchy):
-        if obj.dim != 2 or np.any(obj.location != 0.0):
-            raise ValueError(
-                "closed-form log-moment supports central bivariate laws; "
-                "pass samples for anything else"
-            )
-        gamma = obj.isotropic_scale()
-        fr = lambda r: float(pdf_multivariate(obj, [[r, 0.0]])[0]) * math.log1p(
-            (r / k) ** 2
+    law = _law(obj)
+    if law is None:
+        y = (
+            np.atleast_2d(obj.location)
+            if isinstance(obj, Degenerate)
+            else np.asarray(obj, dtype=float)
         )
-        return integrate_plane_radial(fr, scale=gamma + k)
-    if isinstance(obj, MaxentProfile):
-        if obj.p == 1:
-            f = lambda y: float(obj.pdf(y)) * math.log1p((y / k) ** 2)
-            return integrate_real_line(f, center=0.0, scale=obj.k + k)
-        fr = lambda r: float(obj.pdf([[r, 0.0]])[0]) * math.log1p((r / k) ** 2)
-        return integrate_plane_radial(fr, scale=obj.k + k)
-
-    samples = np.asarray(obj, dtype=float)
-    if samples.ndim == 1:
-        q = (samples / k) ** 2
+        dim = 1 if y.ndim == 1 else y.shape[1]
     else:
-        q = np.sum((samples / k) ** 2, axis=1)
-    return float(np.mean(np.log1p(q)))
+        dim, gamma, radial, integrate = law
+    if p is not None and dim != p:
+        raise ValueError(f"input has dimension {dim}, expected {p}")
 
-
-def _robust_scale(dist_or_samples) -> float:
-    obj = dist_or_samples
+    if law is None:
+        q = (y / k) ** 2 if y.ndim == 1 else np.sum((y / k) ** 2, axis=1)
+        return float(np.mean(np.log1p(q)))
     if isinstance(obj, UnivariateCauchy):
-        return obj.scale
-    if isinstance(obj, MultivariateCauchy):
-        return math.sqrt(float(np.max(np.diag(obj.scale_matrix))))
-    if isinstance(obj, MaxentProfile):
-        return obj.k
-    samples = np.asarray(obj, dtype=float)
-    mags = np.abs(samples) if samples.ndim == 1 else np.linalg.norm(samples, axis=1)
-    s = float(np.median(mags))
-    return s if s > 0.0 else 1.0
+        u, v = gamma / k, obj.location / k
+        return math.log1p(u * (u + 2.0) + v * v)
+    if isinstance(obj, MultivariateCauchy) and radial:
+        return _bivariate_cauchy_log_moment(gamma, k)
+    return integrate(lambda f, r: f * math.log1p((r / k) ** 2), k)
 
 
 def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     """The unique k with log_moment(Y, k) = c(p); 0 for a point mass at the origin.
 
     Bisection-style root finding on an expanding bracket seeded by a robust
-    scale (heavy tails make moment-based initial guesses useless).
+    scale (heavy tails make moment-based initial guesses useless): the law's
+    own scale, or the median sample norm.
     """
     obj = dist_or_samples
     if isinstance(obj, Degenerate):
@@ -265,15 +300,19 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
         if np.any(loc != 0.0):
             raise ValueError("dispersion of an off-origin point mass is undefined")
         return 0.0
-    if not isinstance(obj, (UnivariateCauchy, MultivariateCauchy, MaxentProfile)):
+    law = _law(obj)
+    if law is None:
         obj = np.asarray(obj, dtype=float)
         if not np.isfinite(obj).all():
             raise ValueError("dispersion of samples needs finite values (got NaN or inf)")
+        mags = np.abs(obj) if obj.ndim == 1 else np.linalg.norm(obj, axis=1)
+        s = float(np.median(mags)) or 1.0
+    else:
+        s = law[1]
     from scipy.optimize import brentq
 
     c = spec.c
     g = lambda k: log_moment(obj, k, p=spec.p) - c
-    s = _robust_scale(obj)
     lo, hi = 1e-6 * s, 1e6 * s
     for _ in range(60):
         if g(lo) > 0.0:
@@ -340,8 +379,8 @@ def _knn_entropy(samples: np.ndarray) -> EntropyEstimate:
         )
     ln_eps = np.log(eps[mask])
     m = ln_eps.size
-    unit_ball = 2.0 if d == 1 else math.pi
-    value = digamma(m) + EULER_GAMMA + math.log(unit_ball) + d * float(np.mean(ln_eps))
+    log_unit_ball = 0.5 * d * math.log(math.pi) - log_gamma(0.5 * d + 1.0)
+    value = digamma(m) + EULER_GAMMA + log_unit_ball + d * float(np.mean(ln_eps))
     stderr = d * float(np.std(ln_eps, ddof=1)) / math.sqrt(m)
     return EntropyEstimate(value, "knn", stderr)
 
@@ -369,62 +408,16 @@ def _histogram_transformed_entropy(samples: np.ndarray) -> EntropyEstimate:
 
 
 def _quadrature_entropy(dist) -> EntropyEstimate:
-    def neg_f_ln_f(pdf_val: float) -> float:
-        return -pdf_val * math.log(pdf_val) if pdf_val > 0.0 else 0.0
-
-    if isinstance(dist, UnivariateCauchy):
-        f = lambda y: neg_f_ln_f(float(pdf_univariate(dist, y)))
-        value = integrate_real_line(f, center=dist.location, scale=dist.scale)
-        return EntropyEstimate(value, "quadrature")
-    if isinstance(dist, MultivariateCauchy):
-        if dist.dim != 2:
-            raise ValueError("quadrature entropy supports dimension 2 at most")
-        try:
-            gamma = dist.isotropic_scale()
-            central = not np.any(dist.location != 0.0)
-        except ValueError:
-            gamma, central = None, False
-        if central and gamma is not None:
-            fr = lambda r: neg_f_ln_f(float(pdf_multivariate(dist, [[r, 0.0]])[0]))
-            value = integrate_plane_radial(fr, scale=gamma)
-        else:
-            f2 = lambda y: neg_f_ln_f(float(pdf_multivariate(dist, [y])[0]))
-            scale = math.sqrt(float(np.max(np.diag(dist.scale_matrix))))
-            value = integrate_plane(f2, center=tuple(dist.location), scale=scale)
-        return EntropyEstimate(value, "quadrature")
-    if isinstance(dist, MaxentProfile):
-        if dist.p == 1:
-            f = lambda y: neg_f_ln_f(float(dist.pdf(y)))
-            value = integrate_real_line(f, center=0.0, scale=dist.k)
-        else:
-            fr = lambda r: neg_f_ln_f(float(dist.pdf([[r, 0.0]])[0]))
-            value = integrate_plane_radial(fr, scale=dist.k)
-        return EntropyEstimate(value, "quadrature")
+    law = _law(dist)
+    if law is None:
+        raise TypeError(f"quadrature entropy cannot handle {type(dist).__name__}")
+    integrate = law[3]
     if isinstance(dist, CustomDensity):
-        if dist.dim == 1:
-            mass = integrate_real_line(
-                lambda y: float(dist.pdf(y)), center=dist.center, scale=dist.scale
-            )
-        else:
-            mass = integrate_plane(
-                lambda y: float(dist.pdf(y)),
-                center=(dist.center, dist.center) if np.isscalar(dist.center) else dist.center,
-                scale=dist.scale,
-            )
+        mass = integrate(lambda f, r: f)
         if abs(mass - 1.0) > 1e-6:
             raise ValueError(f"density is not normalized: integral = {mass}")
-        if dist.dim == 1:
-            f = lambda y: neg_f_ln_f(float(dist.pdf(y)))
-            value = integrate_real_line(f, center=dist.center, scale=dist.scale)
-        else:
-            f2 = lambda y: neg_f_ln_f(float(dist.pdf(y)))
-            value = integrate_plane(
-                f2,
-                center=(dist.center, dist.center) if np.isscalar(dist.center) else dist.center,
-                scale=dist.scale,
-            )
-        return EntropyEstimate(value, "quadrature")
-    raise TypeError(f"quadrature entropy cannot handle {type(dist).__name__}")
+    value = integrate(lambda f, r: -f * math.log(f) if f > 0.0 else 0.0)
+    return EntropyEstimate(value, "quadrature")
 
 
 def entropy_estimate(dist_or_samples, method: str = "quadrature") -> EntropyEstimate:
@@ -559,24 +552,13 @@ def capacity_closed_form(channel: str, A: float, floor: float) -> CapacityResult
     )
 
 
-def _profile_constraint_value(p: int, mu: float) -> float:
-    """E ln(1 + ||Y||^2) under the unit-scale profile, by quadrature."""
-    log_z = (
-        0.5 * p * math.log(math.pi) + log_gamma(mu - 0.5 * p) - log_gamma(mu)
-    )
-    if p == 1:
-        f = lambda y: math.exp(-mu * math.log1p(y * y) - log_z) * math.log1p(y * y)
-        return integrate_real_line(f, center=0.0, scale=1.0)
-    fr = lambda r: math.exp(-mu * math.log1p(r * r) - log_z) * math.log1p(r * r)
-    return integrate_plane_radial(fr, scale=1.0)
-
-
 def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
     """Entropy maximizer under E ln(1 + ||y/k||^2) = c over densities on R^p.
 
     A single logarithmic constraint forces the exponential-family shape
-    f(y) proportional to (1 + ||y/k||^2)^(-mu); the exponent is found by
-    monotone root finding on the numerically integrated constraint value.
+    f(y) proportional to (1 + ||y/k||^2)^(-mu), whose constraint value is
+    w2(mu, p/2) = psi(mu) - psi(mu - p/2) at every k; the exponent is found
+    by monotone root finding on that digamma difference.
     """
     from scipy.optimize import brentq
 
@@ -590,7 +572,7 @@ def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
     p = spec.p
     if p not in (1, 2):
         raise ValueError("profiles are implemented for dimensions 1 and 2")
-    g = lambda mu: _profile_constraint_value(p, mu) - c
+    g = lambda mu: w2(mu, 0.5 * p) - c
     lo = 0.5 * p + 0.05
     if g(lo) < 0.0:
         for _ in range(40):

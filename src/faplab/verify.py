@@ -523,6 +523,26 @@ def _check_dispersion_identity(quick: bool):
     return worst <= 1e-10, f"worst |dispersion - scale| = {worst:.2e} (tol 1e-10)"
 
 
+def _check_closed_form_log_moments(quick: bool):
+    # The production closed forms against the quadrature route they replaced.
+    gamma = 1.3
+    ks = gamma * np.geomspace(0.01, 100.0, 25)
+    laws = (cy.UnivariateCauchy(0.0, gamma), cy.UnivariateCauchy(2.0, gamma),
+            cy.MultivariateCauchy([0.0, 0.0], gamma**2 * np.eye(2)))
+    worst = 0.0
+    for d in laws:
+        integrate = cap._law(d)[3]
+        for k in ks:
+            by_quad = integrate(lambda f, r: f * math.log1p((r / k) ** 2), k)
+            worst = max(worst, abs(cap.log_moment(d, k) / by_quad - 1.0))
+    for p in (1, 2):
+        for mu in np.linspace(0.5 * p + 0.2, 0.5 * p + 4.0, 20):
+            prof = cap.MaxentProfile(p=p, k=1.0, mu=float(mu), target=cap.ConstraintSpec(p).c)
+            by_quad = cap.log_moment(prof, 1.0)
+            worst = max(worst, abs(special.w2(mu, 0.5 * p) / by_quad - 1.0))
+    return worst <= 1e-10, f"worst closed-form/quadrature relative gap {worst:.2e} (tol 1e-10)"
+
+
 def _capacity_formula_chain(p: int, A: float, quick: bool):
     spec = cap.ConstraintSpec(p)
     if p == 1:
@@ -650,6 +670,7 @@ _CHECKS: List[Tuple[str, Callable[[bool], Tuple[bool, str]]]] = [
     ("capacity/log_moment_monotone", _check_log_moment_monotone),
     ("capacity/dispersion_homogeneity", _check_dispersion_homogeneity),
     ("capacity/dispersion_identity", _check_dispersion_identity),
+    ("capacity/closed_form_log_moments", _check_closed_form_log_moments),
     ("capacity/entropy_maximizer_2d", _check_entropy_maximizer_2d),
     ("capacity/entropy_maximizer_3d", _check_entropy_maximizer_3d),
     ("capacity/knn_consistency", _check_knn_consistency),

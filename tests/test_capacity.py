@@ -22,7 +22,9 @@ from faplab.cauchy import (
     Degenerate,
     MultivariateCauchy,
     UnivariateCauchy,
+    entropy_multivariate,
     entropy_univariate,
+    sample_multivariate,
     sample_univariate,
 )
 from faplab.fap import ChannelGeometry
@@ -69,11 +71,18 @@ def test_log_moment_general_k_closed_form():
 
 
 def test_log_moment_bivariate_closed_form():
-    # Radial integration gives (2g/b) atan(b/g) with b = sqrt(k^2 - g^2).
+    # Radial integration gives (2g/b) atan(b/g) with b = sqrt(k^2 - g^2) above g,
+    # (2g/b) artanh(b/g) with b = sqrt(g^2 - k^2) below it, and 2 at k = g.
     g = 1.0
-    for k in (2.0, 5.0):
-        b = math.sqrt(k * k - g * g)
-        expected = 2.0 * g / b * math.atan(b / g)
+    for k in (0.01, 0.5, 1.0, 2.0, 5.0):
+        if k > g:
+            b = math.sqrt(k * k - g * g)
+            expected = 2.0 * g / b * math.atan(b / g)
+        elif k < g:
+            b = math.sqrt(g * g - k * k)
+            expected = 2.0 * g / b * math.atanh(b / g)
+        else:
+            expected = 2.0
         assert log_moment(iso2(g), k) == pytest.approx(expected, abs=1e-9)
 
 
@@ -104,6 +113,13 @@ def test_dispersion_recovers_cauchy_scale():
             gamma, abs=1e-10 * max(gamma, 1.0)
         )
     assert dispersion_of(iso2(2.4), SPEC2) == pytest.approx(2.4, abs=1e-9)
+
+
+@pytest.mark.parametrize("x0, gamma", [(2.0, 0.5), (-3.0, 1.7), (10.0, 0.1)])
+def test_dispersion_off_center_cauchy(x0, gamma):
+    # (gamma + k)^2 + x0^2 = 4 k^2 at the dispersion: a root away from the scale.
+    expected = (gamma + math.sqrt(4.0 * gamma**2 + 3.0 * x0**2)) / 3.0
+    assert dispersion_of(UnivariateCauchy(x0, gamma), SPEC1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_dispersion_homogeneity():
@@ -178,6 +194,21 @@ def test_entropy_histogram_transformed():
 def test_entropy_requires_enough_samples():
     with pytest.raises(ValueError):
         entropy_estimate(np.zeros(10), "knn")
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_entropy_knn_in_three_and_more_columns(d):
+    # The unit-ball volume pi^(d/2) / Gamma(d/2 + 1) enters the estimate; a
+    # wrong one shifts it by a constant (ln(3/4) at d = 3, ln(2/pi) at d = 4).
+    n = 100_000
+    gauss = np.random.default_rng(7).standard_normal((n, d))
+    cauchy = MultivariateCauchy(np.zeros(d), np.diag(np.linspace(0.5, 2.0, d)))
+    for samples, exact in (
+        (gauss, 0.5 * d * math.log(2.0 * math.pi * math.e)),
+        (sample_multivariate(cauchy, n, seed=8), entropy_multivariate(cauchy)),
+    ):
+        est = entropy_estimate(samples, "knn")
+        assert abs(est.value - exact) <= 3.0 * est.std_error + 0.03
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

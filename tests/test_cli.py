@@ -11,6 +11,7 @@ import pytest
 import faplab
 from faplab import __version__
 from faplab.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, rerun_from_manifest, run
+from faplab.special import w2
 
 
 def test_capacity_json_value(capsys):
@@ -198,6 +199,14 @@ def test_maxent_stdout(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["mu"] == pytest.approx(1.0, abs=1e-6)
     assert len(payload["grid"]) == 5
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_maxent_large_target(capsys, p):
+    rc = run(["maxent", "--p", str(p), "--c", "50", "--grid-points", "5"])
+    assert rc == EXIT_OK
+    mu = json.loads(capsys.readouterr().out)["mu"]
+    assert w2(mu, 0.5 * p) == pytest.approx(50.0, rel=1e-9)
 
 
 def test_verify_subset(capsys):
