@@ -36,6 +36,7 @@ from .cauchy import (
     entropy_multivariate,
     entropy_univariate,
     independent_sum,
+    isotropic_cauchy,
     pdf_multivariate,
     pdf_univariate,
 )
@@ -178,15 +179,10 @@ class MaxentProfile:
         Dimension 1 returns (y, f(y)) over a symmetric grid; dimension 2
         returns (r, f(r)) for the radial profile.
         """
-        if self.p == 1:
-            theta = np.linspace(-math.atan(span), math.atan(span), num)
-            y = self.k * np.tan(theta)
-            return y, self.pdf(y)
-        theta = np.linspace(0.0, math.atan(span), num)
-        r = self.k * np.tan(theta)
-        q = (r / self.k) ** 2
-        f = np.exp(-self.mu * np.log1p(q) - self.log_norm)
-        return r, f
+        line = self.p == 1
+        theta = np.linspace(-math.atan(span) if line else 0.0, math.atan(span), num)
+        y = self.k * np.tan(theta)
+        return y, self.pdf(y if line else np.column_stack([y, np.zeros((num, self.p - 1))]))
 
 
 def _law(obj):
@@ -210,7 +206,7 @@ def _law(obj):
         radial = (
             dim == 2
             and not np.any(obj.location)
-            and np.allclose(obj.scale_matrix, s2 * np.eye(2), rtol=1e-12, atol=0.0)
+            and np.allclose(obj.scale_matrix, s2 * np.eye(dim), rtol=1e-12, atol=0.0)
         )
     elif isinstance(obj, MaxentProfile):
         dim, center, scale, radial = obj.p, 0.0, obj.k, obj.p == 2
@@ -514,6 +510,9 @@ def capacity_closed_form(channel: str, A: float, floor: float) -> CapacityResult
               (input scale A - lam obtained by the sum closure, not an
               independently stated result);
     gaussian: ln(A/sigma) with A^2 = sigma^2 + P, output variance A^2.
+
+    The FAP channels differ only in the number p of transverse coordinates:
+    capacity p ln(A/lam), output and input isotropic p-variate Cauchy laws.
     """
     if channel not in ("fap2d", "fap3d", "gaussian"):
         raise ValueError(f"unknown channel: {channel}")
@@ -528,28 +527,15 @@ def capacity_closed_form(channel: str, A: float, floor: float) -> CapacityResult
         out = GaussianSpec(A * A)
         inp = GaussianSpec(A * A - floor * floor)
         return CapacityResult(channel, A, floor, cap, out, inp)
-    if channel == "fap2d":
-        cap = math.log(A / floor)
-        out = UnivariateCauchy(0.0, A)
-        inp = UnivariateCauchy(0.0, A - floor) if A > floor else Degenerate(0.0)
-        return CapacityResult(channel, A, floor, cap, out, inp)
-    cap = 2.0 * math.log(A / floor)
-    out = MultivariateCauchy([0.0, 0.0], A * A * np.eye(2))
-    inp = (
-        MultivariateCauchy([0.0, 0.0], (A - floor) ** 2 * np.eye(2))
-        if A > floor
-        else Degenerate(np.zeros(2))
+    p = 1 if channel == "fap2d" else 2
+    out = isotropic_cauchy(p, A)
+    inp = isotropic_cauchy(p, A - floor) if A > floor else Degenerate(out.location)
+    note = (
+        "achieving input scale derived from the output via the isotropic Cauchy sum closure"
+        if p > 1
+        else ""
     )
-    return CapacityResult(
-        channel,
-        A,
-        floor,
-        cap,
-        out,
-        inp,
-        note="achieving input scale derived from the output via the "
-        "isotropic Cauchy sum closure",
-    )
+    return CapacityResult(channel, A, floor, p * math.log(A / floor), out, inp, note)
 
 
 def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
@@ -588,7 +574,7 @@ def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
         hi = 0.5 * p + 2.0 * (hi - 0.5 * p)
     else:
         raise RuntimeError("failed to bracket the profile exponent from above")
-    mu = float(brentq(g, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200))
+    mu = float(brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200))
     return MaxentProfile(p=p, k=float(k), mu=mu, target=c)
 
 

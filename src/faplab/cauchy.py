@@ -23,6 +23,7 @@ __all__ = [
     "MultivariateCauchy",
     "Degenerate",
     "CauchyParams",
+    "isotropic_cauchy",
     "pdf_univariate",
     "cdf_univariate",
     "pdf_multivariate",
@@ -115,6 +116,24 @@ class Degenerate:
 CauchyParams = Union[UnivariateCauchy, MultivariateCauchy, Degenerate]
 
 
+def isotropic_cauchy(
+    p: int, scale: float, location=None
+) -> Union[UnivariateCauchy, MultivariateCauchy]:
+    """The isotropic p-variate Cauchy law of the given scale, centered at location (default 0).
+
+    UnivariateCauchy(location, scale) for p = 1 and
+    MultivariateCauchy(location, scale^2 I_p) for p >= 2.
+    """
+    if p < 1:
+        raise ValueError(f"dimension must be >= 1, got {p}")
+    if not scale > 0.0:
+        raise ValueError(f"scale must be > 0, got {scale}")
+    loc = np.zeros(p) if location is None else np.atleast_1d(np.asarray(location, dtype=float))
+    if p == 1:
+        return UnivariateCauchy(float(loc[0]), scale)
+    return MultivariateCauchy(loc, scale * scale * np.eye(p))
+
+
 def pdf_univariate(d: UnivariateCauchy, x):
     """Density (1/(pi gamma)) / (1 + ((x - x0)/gamma)^2); vectorized in x."""
     x = np.asarray(x, dtype=float)
@@ -198,15 +217,15 @@ def sample_multivariate(d: MultivariateCauchy, n: int, seed: int) -> np.ndarray:
 
 
 def _as_central_isotropic(d: CauchyParams):
-    """Classify a summand: ('uni', loc, scale), ('bi', loc, scale), or ('deg', loc, 0)."""
+    """(location, scale) of a summand; a point mass has scale 0."""
     if isinstance(d, Degenerate):
-        return "deg", np.atleast_1d(np.asarray(d.location, dtype=float)), 0.0
+        return np.atleast_1d(np.asarray(d.location, dtype=float)), 0.0
     if isinstance(d, UnivariateCauchy):
-        return "uni", np.atleast_1d(d.location), d.scale
+        return np.atleast_1d(d.location), d.scale
     if isinstance(d, MultivariateCauchy):
         if d.dim != 2:
             raise ValueError("multivariate sums are supported for dimension 2 only")
-        return "bi", d.location, d.isotropic_scale()
+        return d.location, d.isotropic_scale()
     raise TypeError(f"unsupported distribution type: {type(d).__name__}")
 
 
@@ -216,21 +235,14 @@ def independent_sum(a: CauchyParams, b: CauchyParams) -> CauchyParams:
     Supported pairs: two univariate, two isotropic bivariate, or either with
     a point mass.  Anisotropic or mixed-dimension inputs are rejected.
     """
-    kind_a, loc_a, s_a = _as_central_isotropic(a)
-    kind_b, loc_b, s_b = _as_central_isotropic(b)
+    loc_a, s_a = _as_central_isotropic(a)
+    loc_b, s_b = _as_central_isotropic(b)
     if loc_a.size != loc_b.size:
         raise ValueError("summands have different dimensions")
-    kinds = {kind_a, kind_b} - {"deg"}
-    if len(kinds) > 1:
-        raise ValueError(f"unsupported summand combination: {kind_a} + {kind_b}")
     loc = loc_a + loc_b
-    scale = s_a + s_b
-    if not kinds:  # both degenerate
+    if isinstance(a, Degenerate) and isinstance(b, Degenerate):
         return Degenerate(float(loc[0]) if loc.size == 1 else loc)
-    kind = kinds.pop()
-    if kind == "uni":
-        return UnivariateCauchy(float(loc[0]), scale)
-    return MultivariateCauchy(loc, scale * scale * np.eye(2))
+    return isotropic_cauchy(loc.size, s_a + s_b, loc)
 
 
 def linear_combination(d: MultivariateCauchy, v) -> UnivariateCauchy:

@@ -68,25 +68,40 @@ _positive_float = _checked(float, lambda x: 0.0 < x < math.inf, "a positive fini
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 
 
-def _geometry_args(parser: argparse.ArgumentParser, with_drift: bool = True) -> None:
+def _channel_args(parser: argparse.ArgumentParser) -> None:
+    """Geometry, drift and input flags, read back by ``_channel_from_args``."""
     parser.add_argument("-n", "--dimension", type=int, default=2, choices=(2, 3))
     parser.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0,
                         help="transmission distance (default 1)")
     parser.add_argument("--sigma2", type=_positive_float, default=1.0,
                         help="microscopic diffusion coefficient (default 1)")
-    if with_drift:
-        parser.add_argument("--vx", type=_finite_float, default=0.0,
-                            help="transverse drift component")
-        parser.add_argument("--vy", type=_finite_float, default=0.0,
-                            help="second transverse (3D) or traversal (2D) component")
-        parser.add_argument("--vz", type=_finite_float, default=0.0,
-                            help="traversal drift component (3D); positive points away from the receiver")
+    parser.add_argument("--vx", type=_finite_float, default=0.0,
+                        help="transverse drift component")
+    parser.add_argument("--vy", type=_finite_float, default=0.0,
+                        help="second transverse (3D) or traversal (2D) component")
+    parser.add_argument("--vz", type=_finite_float, default=None,
+                        help="traversal drift component (3D only; rejected with -n 2); "
+                             "positive points away from the receiver")
+    parser.add_argument("--x1", type=_finite_float, default=0.0, help="input coordinate")
+    parser.add_argument("--x2", type=_finite_float, default=None,
+                        help="second input coordinate (3D only; rejected with -n 2)")
 
 
-def _drift_from_args(args) -> DriftVector:
-    if args.dimension == 2:
-        return DriftVector(args.vx, args.vy)
-    return DriftVector(args.vx, args.vy, args.vz)
+def _channel_from_args(args):
+    """(geometry, drift, input) for -n d: the first d drift and d - 1 input flags.
+
+    A drift or input flag beyond the dimension (--vz or --x2 with -n 2) is a
+    usage error rather than silently ignored.
+    """
+    d = args.dimension
+    drift = (("--vx", args.vx), ("--vy", args.vy), ("--vz", args.vz))
+    x = (("--x1", args.x1), ("--x2", args.x2))
+    given = [flag for flag, value in drift[d:] + x[d - 1:] if value is not None]
+    if given:
+        raise argparse.ArgumentError(None, f"3D-only flags given with -n {d}: {', '.join(given)}")
+    value = lambda pair: 0.0 if pair[1] is None else pair[1]
+    return (ChannelGeometry(d, args.lam, args.sigma2),
+            DriftVector(*map(value, drift[:d])), tuple(map(value, x[: d - 1])))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,9 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_density = sub.add_parser("density", help="emit an analytic density grid as CSV")
-    _geometry_args(p_density)
-    p_density.add_argument("--x1", type=_finite_float, default=0.0)
-    p_density.add_argument("--x2", type=_finite_float, default=0.0)
+    _channel_args(p_density)
     p_density.add_argument("--ymin", type=_finite_float, default=-10.0)
     p_density.add_argument("--ymax", type=_finite_float, default=10.0)
     p_density.add_argument("--points", type=_positive_int, default=201)
@@ -108,9 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--out", type=Path, required=True)
 
     p_sim = sub.add_parser("simulate", help="run the first-passage Monte Carlo")
-    _geometry_args(p_sim)
-    p_sim.add_argument("--x1", type=_finite_float, default=0.0)
-    p_sim.add_argument("--x2", type=_finite_float, default=0.0)
+    _channel_args(p_sim)
     p_sim.add_argument("--dt", type=_positive_float, default=1e-4)
     p_sim.add_argument("--particles", type=_positive_int, default=100_000)
     p_sim.add_argument("--max-steps", type=_positive_int, default=10_000_000)
@@ -185,9 +196,7 @@ def rerun_from_manifest(manifest_path, out_dir=None) -> int:
 
 def _cmd_density(args, argv) -> int:
     started = time.time()
-    g = ChannelGeometry(args.dimension, args.lam, args.sigma2)
-    v = _drift_from_args(args)
-    x = (args.x1,) if args.dimension == 2 else (args.x1, args.x2)
+    g, v, x = _channel_from_args(args)
     cols, rows = density_grid(g, v, x, args.ymin, args.ymax, args.points)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -212,13 +221,11 @@ def _cmd_density(args, argv) -> int:
 
 def _cmd_simulate(args, argv) -> int:
     started = time.time()
-    g = ChannelGeometry(args.dimension, args.lam, args.sigma2)
-    v = _drift_from_args(args)
+    g, v, x = _channel_from_args(args)
     cfg = SimConfig(
         geometry=g, drift=v, dt=args.dt, n_particles=args.particles,
         max_steps=args.max_steps, seed=args.seed, stepper=args.stepper,
     )
-    x = (args.x1,) if args.dimension == 2 else (args.x1, args.x2)
     result = simulate_first_arrival(cfg, x_in=np.asarray(x))
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -341,6 +348,9 @@ def run(argv: Sequence[str]) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.subcommand](args, argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

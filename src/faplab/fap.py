@@ -32,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .cauchy import MultivariateCauchy, UnivariateCauchy
+from .cauchy import MultivariateCauchy, UnivariateCauchy, isotropic_cauchy
 from .special import scipy_special
 
 __all__ = [
@@ -174,22 +174,27 @@ def fap_density(g: ChannelGeometry, v: DriftVector, x, y) -> np.ndarray:
     return density
 
 
+def _check_point(g: ChannelGeometry, v: DriftVector, pt: FapPoint, dimension: int,
+                 coordinates: str) -> None:
+    if g.dimension != dimension:
+        raise ValueError(f"fap_pdf_{dimension}d requires a {dimension}D geometry")
+    _check_drift(g, v)
+    if len(pt.x) != dimension - 1:
+        raise ValueError(f"{dimension}D geometry carries {coordinates}")
+
+
 def fap_pdf_2d(g: ChannelGeometry, v: DriftVector, pt: FapPoint) -> float:
     """Drifted 2D arrival density at transverse output y1 given input x1.
 
     Requires |v| > 0; the zero-drift case must go through
     ``zero_drift_reduction`` because this expression becomes 0 * inf there.
     """
-    if g.dimension != 2:
-        raise ValueError("fap_pdf_2d requires a 2D geometry")
-    _check_drift(g, v)
-    if len(pt.x) != 1:
-        raise ValueError("2D geometry carries one transverse coordinate")
+    _check_point(g, v, pt, 2, "one transverse coordinate")
     if v.magnitude == 0.0:
         raise ValueError(
             "zero drift is a degenerate limit here; use zero_drift_reduction"
         )
-    return float(fap_density(g, v, pt.x, [pt.y])[0])
+    return fap_pdf(g, v, pt)
 
 
 def fap_pdf_3d(g: ChannelGeometry, v: DriftVector, pt: FapPoint) -> float:
@@ -198,18 +203,17 @@ def fap_pdf_3d(g: ChannelGeometry, v: DriftVector, pt: FapPoint) -> float:
     Well-defined for any drift including zero, where it reduces to the
     isotropic bivariate Cauchy with scale equal to the transmission distance.
     """
-    if g.dimension != 3:
-        raise ValueError("fap_pdf_3d requires a 3D geometry")
-    _check_drift(g, v)
-    if len(pt.x) != 2:
-        raise ValueError("3D geometry carries two transverse coordinates")
-    return float(fap_density(g, v, pt.x, [pt.y])[0])
+    _check_point(g, v, pt, 3, "two transverse coordinates")
+    return fap_pdf(g, v, pt)
 
 
 def zero_drift_reduction(
     g: ChannelGeometry, x=None
 ) -> Union[UnivariateCauchy, MultivariateCauchy]:
-    """Zero-drift arrival law: Cauchy(x1, lam) in 2D, isotropic bivariate in 3D."""
+    """Zero-drift arrival law: the isotropic Cauchy law of scale lam centered at x.
+
+    Cauchy(x1, lam) in 2D, the isotropic bivariate Cauchy in 3D.
+    """
     if x is None:
         x = np.zeros(g.n_transverse)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -217,9 +221,7 @@ def zero_drift_reduction(
         raise ValueError(
             f"input position has {x.size} coordinates, expected {g.n_transverse}"
         )
-    if g.dimension == 2:
-        return UnivariateCauchy(float(x[0]), g.lam)
-    return MultivariateCauchy(x, g.lam**2 * np.eye(2))
+    return isotropic_cauchy(g.n_transverse, g.lam, x)
 
 
 def fap_pdf(g: ChannelGeometry, v: DriftVector, pt: FapPoint) -> float:
@@ -248,19 +250,17 @@ def density_grid(
 ):
     """Evaluate the arrival density on a regular transverse grid.
 
-    Returns (columns, rows): column names and a list of row tuples, one per
-    grid node (row-major over (y1, y2) in 3D).
+    Returns (columns, rows): the column names y1..yp, density and a list of
+    row tuples, one per grid node, row-major over (y1, ..., yp).
     """
+    p = g.n_transverse
     if x is None:
-        x = np.zeros(g.n_transverse)
+        x = np.zeros(p)
     axis = np.linspace(y_min, y_max, points)
-    if g.dimension == 2:
-        columns, ys = ("y1", "density"), axis[:, None]
-    else:
-        columns = ("y1", "y2", "density")
-        ys = np.column_stack([np.repeat(axis, points), np.tile(axis, points)])
-    density = fap_density(g, v, x, ys)
-    return columns, list(zip(*ys.T.tolist(), density.tolist()))
+    ys = [c.ravel() for c in np.meshgrid(*[axis] * p, indexing="ij")]
+    density = fap_density(g, v, x, np.column_stack(ys))
+    columns = tuple(f"y{i + 1}" for i in range(p)) + ("density",)
+    return columns, list(zip(*(c.tolist() for c in ys), density.tolist()))
 
 
 def write_density_grid_csv(path, columns: Sequence[str], rows) -> None:

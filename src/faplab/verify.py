@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -103,7 +104,7 @@ def _check_norm_univariate(quick: bool):
 def _check_norm_bivariate(quick: bool):
     worst = 0.0
     for gamma in (0.5, 1.0, 4.0):
-        d = cy.MultivariateCauchy([0.0, 0.0], gamma**2 * np.eye(2))
+        d = cy.isotropic_cauchy(2, gamma)
         val = integrate_plane_radial(
             lambda r: float(cy.pdf_multivariate(d, [[r, 0.0]])[0]), scale=gamma
         )
@@ -116,77 +117,50 @@ def _check_norm_bivariate(quick: bool):
     return worst <= 1e-6, f"worst |integral - 1| = {worst:.2e} (tol 1e-6)"
 
 
-def _check_entropy_quad_univariate(quick: bool):
+def _check_entropy_quad(p: int, scales, bound: str, quick: bool):
+    # bound is the tolerance as text ("1e-8"), printed verbatim in the detail
+    tol = float(bound)
     worst = 0.0
-    for g in (0.1, 1.0, 10.0):
-        d = cy.UnivariateCauchy(0.0, g)
+    for g in scales:
+        d = cy.isotropic_cauchy(p, g)
         est = cap.entropy_estimate(d, "quadrature").value
-        worst = max(worst, abs(est - cy.entropy_univariate(d)))
-    return worst <= 1e-8, f"worst quadrature-vs-closed-form gap {worst:.2e} (tol 1e-8)"
+        worst = max(worst, abs(est - cap._closed_form_entropy(d)))
+    return worst <= tol, f"worst quadrature-vs-closed-form gap {worst:.2e} (tol {bound})"
 
 
-def _check_entropy_quad_bivariate(quick: bool):
-    worst = 0.0
-    for g in (0.5, 1.0, 3.0):
-        d = cy.MultivariateCauchy([0.0, 0.0], g**2 * np.eye(2))
-        est = cap.entropy_estimate(d, "quadrature").value
-        worst = max(worst, abs(est - cy.entropy_multivariate(d)))
-    return worst <= 1e-4, f"worst quadrature-vs-closed-form gap {worst:.2e} (tol 1e-4)"
+def _sample(d, n: int, seed: int) -> np.ndarray:
+    """n exact draws from an isotropic Cauchy law: a vector for p = 1, (n, p) rows otherwise."""
+    if isinstance(d, cy.UnivariateCauchy):
+        return cy.sample_univariate(d, n, seed)
+    return cy.sample_multivariate(d, n, seed)
 
 
-def _sum_pairs_univariate():
-    return [(1.0, 2.0), (0.3, 0.7), (5.0, 0.1)]
-
-
-def _check_sum_closure_univariate(quick: bool):
+def _check_sum_closure(p: int, seed: int, quick: bool):
+    # Summed draws against direct draws from the closure law: the first
+    # coordinate, and in the plane also the radius.
     n = 20_000 if quick else 100_000
     tol = 0.02 if quick else 0.01
     worst = 0.0
-    for i, (s, t) in enumerate(_sum_pairs_univariate()):
-        u = cy.sample_univariate(cy.UnivariateCauchy(0.0, s), n, seed=100 + i)
-        v = cy.sample_univariate(cy.UnivariateCauchy(0.0, t), n, seed=200 + i)
-        direct = cy.sample_univariate(
-            cy.independent_sum(cy.UnivariateCauchy(0.0, s), cy.UnivariateCauchy(0.0, t)),
-            n,
-            seed=300 + i,
-        )
-        worst = max(worst, sim.ks_two_sample(u + v, direct))
-    return worst <= tol, f"worst two-sample KS {worst:.4f} (tol {tol})"
-
-
-def _check_sum_closure_bivariate(quick: bool):
-    n = 20_000 if quick else 100_000
-    tol = 0.02 if quick else 0.01
-    worst = 0.0
-    for i, (s, t) in enumerate(_sum_pairs_univariate()):
-        du = cy.MultivariateCauchy([0.0, 0.0], s**2 * np.eye(2))
-        dv = cy.MultivariateCauchy([0.0, 0.0], t**2 * np.eye(2))
-        u = cy.sample_multivariate(du, n, seed=400 + i)
-        v = cy.sample_multivariate(dv, n, seed=500 + i)
-        direct = cy.sample_multivariate(cy.independent_sum(du, dv), n, seed=600 + i)
+    for i, (s, t) in enumerate([(1.0, 2.0), (0.3, 0.7), (5.0, 0.1)]):
+        du, dv = cy.isotropic_cauchy(p, s), cy.isotropic_cauchy(p, t)
+        u = _sample(du, n, seed=seed + i)
+        v = _sample(dv, n, seed=seed + 100 + i)
+        direct = _sample(cy.independent_sum(du, dv), n, seed=seed + 200 + i)
         summed = u + v
-        worst = max(worst, sim.ks_two_sample(summed[:, 0], direct[:, 0]))
-        worst = max(
-            worst,
-            sim.ks_two_sample(
-                np.linalg.norm(summed, axis=1), np.linalg.norm(direct, axis=1)
-            ),
-        )
+        pairs = [(summed.reshape(n, p)[:, 0], direct.reshape(n, p)[:, 0])]
+        if p > 1:
+            pairs.append((np.linalg.norm(summed, axis=1), np.linalg.norm(direct, axis=1)))
+        worst = max([worst] + [sim.ks_two_sample(a, b) for a, b in pairs])
     return worst <= tol, f"worst two-sample KS {worst:.4f} (tol {tol})"
 
 
 def _check_entropy_scaling(quick: bool):
+    entropy = lambda p, scale: cap._closed_form_entropy(cy.isotropic_cauchy(p, scale))
     worst = 0.0
     for c in (0.5, 2.0, 10.0):
         g0 = 0.7
-        diff = cy.entropy_univariate(cy.UnivariateCauchy(0.0, c * g0)) - cy.entropy_univariate(
-            cy.UnivariateCauchy(0.0, g0)
-        )
-        worst = max(worst, abs(diff - math.log(c)))
-        d0 = cy.MultivariateCauchy([0.0, 0.0], g0**2 * np.eye(2))
-        d1 = cy.MultivariateCauchy([0.0, 0.0], (c * g0) ** 2 * np.eye(2))
-        diff2 = cy.entropy_multivariate(d1) - cy.entropy_multivariate(d0)
-        worst = max(worst, abs(diff2 - 2.0 * math.log(c)))
+        for p in (1, 2):
+            worst = max(worst, abs(entropy(p, c * g0) - entropy(p, g0) - p * math.log(c)))
     return worst <= 1e-12, f"worst scaling-law residual {worst:.2e}"
 
 
@@ -194,35 +168,27 @@ def _check_entropy_scaling(quick: bool):
 # fap channel
 
 
-def _sup_gap_2d(speed: float, ys) -> float:
-    """Sup over the outputs ys of |drifted 2D density - Cauchy limit| (lam = sigma2 = 1)."""
-    g = fap.ChannelGeometry(2, 1.0, 1.0)
-    ys = np.asarray(ys, dtype=float)
-    drifted = fap.fap_density(g, fap.DriftVector(0.0, speed), (0.0,), ys[:, None])
-    limit = cy.pdf_univariate(fap.zero_drift_reduction(g, 0.0), ys)
+def _sup_gap(dim: int, speed: float, outputs) -> float:
+    """Sup over outputs (y, 0, ...) of |drifted density - Cauchy limit| (lam = sigma2 = 1).
+
+    The drift of magnitude speed is along the traversal axis.
+    """
+    g = fap.ChannelGeometry(dim, 1.0, 1.0)
+    p = g.n_transverse
+    outputs = np.asarray(outputs, dtype=float)
+    pts = np.column_stack([outputs, np.zeros((len(outputs), p - 1))])
+    drift = fap.DriftVector(*[0.0] * p, speed)
+    drifted = fap.fap_density(g, drift, np.zeros(p), pts)
+    law = fap.zero_drift_reduction(g)
+    if isinstance(law, cy.UnivariateCauchy):
+        limit = cy.pdf_univariate(law, outputs)
+    else:
+        limit = cy.pdf_multivariate(law, pts)
     return float(np.max(np.abs(drifted - limit)))
 
 
-def _sup_gap_3d(speed: float, rs) -> float:
-    """Sup over the outputs (r, 0), r in rs, of |drifted 3D density - bivariate Cauchy limit|."""
-    g = fap.ChannelGeometry(3, 1.0, 1.0)
-    pts = np.column_stack([rs, np.zeros(len(rs))])
-    drifted = fap.fap_density(g, fap.DriftVector(0.0, 0.0, speed), (0.0, 0.0), pts)
-    limit = cy.pdf_multivariate(fap.zero_drift_reduction(g, (0.0, 0.0)), pts)
-    return float(np.max(np.abs(drifted - limit)))
-
-
-def _check_zero_drift_limit_2d(quick: bool):
-    ys = np.linspace(-10.0, 10.0, 241)
-    gaps = [_sup_gap_2d(s, ys) for s in (1e-2, 1e-4, 1e-6, 1e-8)]
-    mono = all(b < a for a, b in zip(gaps, gaps[1:]))
-    ok = mono and gaps[-1] < 1e-3
-    return ok, f"sup gaps {['%.2e' % g for g in gaps]} (monotone {mono})"
-
-
-def _check_zero_drift_limit_3d(quick: bool):
-    rs = np.linspace(0.0, 10.0, 101)
-    gaps = [_sup_gap_3d(s, rs) for s in (1e-2, 1e-4, 1e-6, 1e-8)]
+def _check_zero_drift_limit(dim: int, outputs, quick: bool):
+    gaps = [_sup_gap(dim, s, outputs) for s in (1e-2, 1e-4, 1e-6, 1e-8)]
     mono = all(b < a for a, b in zip(gaps, gaps[1:]))
     ok = mono and gaps[-1] < 1e-3
     return ok, f"sup gaps {['%.2e' % g for g in gaps]} (monotone {mono})"
@@ -518,8 +484,7 @@ def _check_dispersion_identity(quick: bool):
         worst = max(
             worst, abs(cap.dispersion_of(cy.UnivariateCauchy(0.0, gamma), spec1) - gamma)
         )
-    d2 = cy.MultivariateCauchy([0.0, 0.0], 2.4**2 * np.eye(2))
-    worst = max(worst, abs(cap.dispersion_of(d2, spec2) - 2.4))
+    worst = max(worst, abs(cap.dispersion_of(cy.isotropic_cauchy(2, 2.4), spec2) - 2.4))
     return worst <= 1e-10, f"worst |dispersion - scale| = {worst:.2e} (tol 1e-10)"
 
 
@@ -528,7 +493,7 @@ def _check_closed_form_log_moments(quick: bool):
     gamma = 1.3
     ks = gamma * np.geomspace(0.01, 100.0, 25)
     laws = (cy.UnivariateCauchy(0.0, gamma), cy.UnivariateCauchy(2.0, gamma),
-            cy.MultivariateCauchy([0.0, 0.0], gamma**2 * np.eye(2)))
+            cy.isotropic_cauchy(2, gamma))
     worst = 0.0
     for d in laws:
         integrate = cap._law(d)[3]
@@ -545,12 +510,8 @@ def _check_closed_form_log_moments(quick: bool):
 
 def _capacity_formula_chain(p: int, A: float, quick: bool):
     spec = cap.ConstraintSpec(p)
-    if p == 1:
-        achieving = cy.UnivariateCauchy(0.0, A)
-        h_star = cy.entropy_univariate(achieving)
-    else:
-        achieving = cy.MultivariateCauchy([0.0, 0.0], A**2 * np.eye(2))
-        h_star = cy.entropy_multivariate(achieving)
+    achieving = cy.isotropic_cauchy(p, A)
+    h_star = cap._closed_form_entropy(achieving)
     disp_err = abs(cap.dispersion_of(achieving, spec) - A)
     mus = np.concatenate([np.linspace(0.5 * p + 0.15, 0.5 * p + 0.45, 3),
                           np.linspace(0.5 * p + 0.5, 0.5 * p + 3.0, 6 if quick else 12)])
@@ -571,27 +532,16 @@ def _capacity_formula_chain(p: int, A: float, quick: bool):
     )
 
 
-def _check_entropy_maximizer_2d(quick: bool):
-    return _capacity_formula_chain(1, 2.0, quick)
-
-
-def _check_entropy_maximizer_3d(quick: bool):
-    return _capacity_formula_chain(2, 2.0, quick)
-
-
 def _check_knn_consistency(quick: bool):
     n = 200_000 if quick else 1_000_000
-    d1 = cy.UnivariateCauchy(0.0, 2.0)
-    est1 = cap.entropy_estimate(cy.sample_univariate(d1, n, seed=31), "knn")
-    gap1 = abs(est1.value - cy.entropy_univariate(d1))
-    d2 = cy.MultivariateCauchy([0.0, 0.0], 4.0 * np.eye(2))
-    est2 = cap.entropy_estimate(cy.sample_multivariate(d2, n, seed=32), "knn")
-    gap2 = abs(est2.value - cy.entropy_multivariate(d2))
-    ok = gap1 <= 3.0 * est1.std_error and gap2 <= 3.0 * est2.std_error
-    return ok, (
-        f"knn gaps {gap1:.4f} (3se {3 * est1.std_error:.4f}), "
-        f"{gap2:.4f} (3se {3 * est2.std_error:.4f}) at n={n}"
-    )
+    gaps = []
+    for p, seed in ((1, 31), (2, 32)):
+        d = cy.isotropic_cauchy(p, 2.0)
+        est = cap.entropy_estimate(_sample(d, n, seed), "knn")
+        gaps.append((abs(est.value - cap._closed_form_entropy(d)), 3.0 * est.std_error))
+    ok = all(gap <= band for gap, band in gaps)
+    detail = ", ".join(f"{gap:.4f} (3se {band:.4f})" for gap, band in gaps)
+    return ok, f"knn gaps {detail} at n={n}"
 
 
 def _check_capacity_endpoint(quick: bool):
@@ -648,13 +598,17 @@ _CHECKS: List[Tuple[str, Callable[[bool], Tuple[bool, str]]]] = [
     ("special/log_gamma_convex", _check_log_gamma_convex),
     ("cauchy/normalization_univariate", _check_norm_univariate),
     ("cauchy/normalization_bivariate", _check_norm_bivariate),
-    ("cauchy/entropy_quadrature_univariate", _check_entropy_quad_univariate),
-    ("cauchy/entropy_quadrature_bivariate", _check_entropy_quad_bivariate),
-    ("cauchy/sum_closure_univariate", _check_sum_closure_univariate),
-    ("cauchy/sum_closure_bivariate", _check_sum_closure_bivariate),
+    ("cauchy/entropy_quadrature_univariate",
+     partial(_check_entropy_quad, 1, (0.1, 1.0, 10.0), "1e-8")),
+    ("cauchy/entropy_quadrature_bivariate",
+     partial(_check_entropy_quad, 2, (0.5, 1.0, 3.0), "1e-4")),
+    ("cauchy/sum_closure_univariate", partial(_check_sum_closure, 1, 100)),
+    ("cauchy/sum_closure_bivariate", partial(_check_sum_closure, 2, 400)),
     ("cauchy/entropy_scaling", _check_entropy_scaling),
-    ("fap/zero_drift_limit_2d", _check_zero_drift_limit_2d),
-    ("fap/zero_drift_limit_3d", _check_zero_drift_limit_3d),
+    ("fap/zero_drift_limit_2d",
+     partial(_check_zero_drift_limit, 2, np.linspace(-10.0, 10.0, 241))),
+    ("fap/zero_drift_limit_3d",
+     partial(_check_zero_drift_limit, 3, np.linspace(0.0, 10.0, 101))),
     ("fap/translation_covariance", _check_translation_covariance),
     ("fap/positivity", _check_positivity),
     ("fap/marginal_3d_to_2d", _check_marginal_3d_to_2d),
@@ -671,8 +625,8 @@ _CHECKS: List[Tuple[str, Callable[[bool], Tuple[bool, str]]]] = [
     ("capacity/dispersion_homogeneity", _check_dispersion_homogeneity),
     ("capacity/dispersion_identity", _check_dispersion_identity),
     ("capacity/closed_form_log_moments", _check_closed_form_log_moments),
-    ("capacity/entropy_maximizer_2d", _check_entropy_maximizer_2d),
-    ("capacity/entropy_maximizer_3d", _check_entropy_maximizer_3d),
+    ("capacity/entropy_maximizer_2d", partial(_capacity_formula_chain, 1, 2.0)),
+    ("capacity/entropy_maximizer_3d", partial(_capacity_formula_chain, 2, 2.0)),
     ("capacity/knn_consistency", _check_knn_consistency),
     ("capacity/capacity_endpoint", _check_capacity_endpoint),
     ("capacity/maxent_certification", _check_maxent_certification),

@@ -31,7 +31,7 @@ from faplab.cli import EXIT_OK, rerun_from_manifest, run
 from faplab.fap import ChannelGeometry
 from faplab.sim import ks_statistic, ks_two_sample, sample_exact_zero_drift
 from faplab.special import digamma, w2
-from faplab.verify import _sup_gap_2d, _sup_gap_3d
+from faplab.verify import _sup_gap
 
 LN_4PI = math.log(4.0 * math.pi)
 
@@ -79,12 +79,12 @@ def test_criterion_03_phi_cross_consistency():
 def test_criterion_04_zero_drift_reduction():
     speeds = (1e-2, 1e-4, 1e-6, 1e-8)
     ys = np.linspace(-10.0, 10.0, 241)
-    sups2 = [_sup_gap_2d(speed, ys) for speed in speeds]
+    sups2 = [_sup_gap(2, speed, ys) for speed in speeds]
     assert sups2[-1] < 1e-3
     assert all(b < a for a, b in zip(sups2, sups2[1:]))
 
     rs = np.linspace(0.0, 10.0, 121)
-    sups3 = [_sup_gap_3d(speed, rs) for speed in speeds]
+    sups3 = [_sup_gap(3, speed, rs) for speed in speeds]
     assert sups3[-1] < 1e-3
     assert all(b < a for a, b in zip(sups3, sups3[1:]))
     report(4, f"2D sup gap at 1e-8 drift: {sups2[-1]:.1e}; 3D: {sups3[-1]:.1e}; both monotone")

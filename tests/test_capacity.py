@@ -280,6 +280,30 @@ def test_capacity_closed_form_3d():
     assert "sum closure" in r.note
 
 
+@pytest.mark.parametrize("A, floor", [(2.0, 1.0), (3.7, 1.3), (1.5, 1.5)])
+def test_capacity_closed_form_laws_equal_hand_built(A, floor):
+    r2 = capacity_closed_form("fap2d", A, floor)
+    assert r2.capacity == math.log(A / floor) and r2.note == ""
+    assert r2.achieving_output == UnivariateCauchy(0.0, A)
+    if A > floor:
+        assert r2.achieving_input == UnivariateCauchy(0.0, A - floor)
+    else:
+        assert r2.achieving_input == Degenerate(0.0) and r2.achieving_input.location == 0.0
+    r3 = capacity_closed_form("fap3d", A, floor)
+    assert r3.capacity == 2.0 * math.log(A / floor)
+    assert r3.note == (
+        "achieving input scale derived from the output via the isotropic Cauchy sum closure"
+    )
+    out, inp = r3.achieving_output, r3.achieving_input
+    assert np.array_equal(out.location, [0.0, 0.0])
+    assert np.array_equal(out.scale_matrix, A * A * np.eye(2))
+    if A > floor:
+        assert np.array_equal(inp.location, [0.0, 0.0])
+        assert np.array_equal(inp.scale_matrix, (A - floor) * (A - floor) * np.eye(2))
+    else:
+        assert isinstance(inp, Degenerate) and np.array_equal(inp.location, np.zeros(2))
+
+
 def test_capacity_closed_form_gaussian():
     r = capacity_closed_form("gaussian", 2.0, 1.0)
     assert r.capacity == pytest.approx(math.log(2.0), abs=1e-14)

@@ -13,6 +13,7 @@ from faplab.cauchy import (
     entropy_multivariate,
     entropy_univariate,
     independent_sum,
+    isotropic_cauchy,
     linear_combination,
     normalization_univariate,
     pdf_multivariate,
@@ -43,6 +44,35 @@ def test_invalid_parameters_rejected():
         MultivariateCauchy([0.0, 0.0], [[1.0, 0.3], [0.0, 1.0]])  # not symmetric
     with pytest.raises(ValueError):
         MultivariateCauchy([0.0], np.eye(2))  # shape mismatch
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_isotropic_cauchy_class_scale_and_location(p):
+    loc = np.arange(1.0, p + 1.0)
+    central, shifted = isotropic_cauchy(p, 1.7), isotropic_cauchy(p, 1.7, loc)
+    if p == 1:
+        assert central == UnivariateCauchy(0.0, 1.7)
+        assert shifted == UnivariateCauchy(1.0, 1.7)
+        return
+    for d, mu in ((central, np.zeros(p)), (shifted, loc)):
+        assert isinstance(d, MultivariateCauchy) and d.dim == p
+        assert np.array_equal(d.location, mu)
+        assert np.array_equal(d.scale_matrix, 1.7 * 1.7 * np.eye(p))
+        assert d.isotropic_scale() == 1.7
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("scale", [0.0, -1.0, -2.5, math.nan])
+def test_isotropic_cauchy_rejects_non_positive_scale(p, scale):
+    with pytest.raises(ValueError, match="scale must be > 0"):
+        isotropic_cauchy(p, scale)
+
+
+def test_isotropic_cauchy_rejects_bad_dimension_and_location():
+    with pytest.raises(ValueError, match="dimension"):
+        isotropic_cauchy(0, 1.0)
+    with pytest.raises(ValueError, match="does not match"):
+        isotropic_cauchy(2, 1.0, [0.0, 0.0, 0.0])
 
 
 def test_pdf_univariate_peak_and_half_peak():

@@ -52,6 +52,10 @@ def test_unknown_flag_usage_error():
         ["maxent", "--k", "-1"],
         ["capacity", "--channel", "fap2d", "--A", "2", "--lambda", "-1"],
         ["capacity", "--channel", "gaussian", "--A", "2", "--sigma", "0"],
+        ["density", "-n", "2", "--vz", "-0.5", "--out", "unused"],
+        ["density", "-n", "2", "--x2", "3", "--out", "unused"],
+        ["simulate", "-n", "2", "--vz", "-0.5", "--out", "unused"],
+        ["simulate", "-n", "2", "--x2", "3", "--out", "unused"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
@@ -201,12 +205,16 @@ def test_maxent_stdout(capsys):
     assert len(payload["grid"]) == 5
 
 
-@pytest.mark.parametrize("p", [1, 2])
-def test_maxent_large_target(capsys, p):
-    rc = run(["maxent", "--p", str(p), "--c", "50", "--grid-points", "5"])
+@pytest.mark.parametrize(
+    "p, c",
+    [pytest.param(1, "50", id="1"), pytest.param(2, "50", id="2")]
+    + [pytest.param(p, c, id=f"{p}-c{c}") for c in ("1e3", "1e6") for p in (1, 2)],
+)
+def test_maxent_large_target(capsys, p, c):
+    rc = run(["maxent", "--p", str(p), "--c", c, "--grid-points", "5"])
     assert rc == EXIT_OK
     mu = json.loads(capsys.readouterr().out)["mu"]
-    assert w2(mu, 0.5 * p) == pytest.approx(50.0, rel=1e-9)
+    assert w2(mu, 0.5 * p) == pytest.approx(float(c), rel=1e-9)
 
 
 def test_verify_subset(capsys):

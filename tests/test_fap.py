@@ -124,6 +124,17 @@ def test_reduction_3d():
     assert np.allclose(red.scale_matrix, np.eye(2))
 
 
+@pytest.mark.parametrize("lam", [1.0, 1.3, 2.5])
+def test_reduction_equals_hand_built_laws(lam):
+    red2 = zero_drift_reduction(ChannelGeometry(2, lam, 1.0), 0.4)
+    assert red2 == UnivariateCauchy(0.4, lam)
+    red3 = zero_drift_reduction(ChannelGeometry(3, lam, 1.0), (0.4, -1.0))
+    assert isinstance(red3, MultivariateCauchy)
+    assert np.array_equal(red3.location, [0.4, -1.0])
+    assert np.array_equal(red3.scale_matrix, lam * lam * np.eye(2))
+    assert np.array_equal(zero_drift_reduction(ChannelGeometry(3, lam, 1.0)).location, [0.0, 0.0])
+
+
 def test_reduction_is_pointwise_limit_2d():
     g = ChannelGeometry(2, 1.0, 1.0)
     red = zero_drift_reduction(g, 0.0)
@@ -267,6 +278,10 @@ def test_density_grid_3d_row_major():
     assert len(rows) == 9
     assert rows[0][:2] == (-1.0, -1.0)
     assert rows[1][:2] == (-1.0, 0.0)  # inner index runs over y2
+    _, rows = density_grid(g, DriftVector(0.3, 0.2, -0.5), points=7, y_min=-2.5, y_max=4.0)
+    axis = np.linspace(-2.5, 4.0, 7)
+    nodes = np.array([row[:2] for row in rows])
+    assert np.array_equal(nodes, np.column_stack([np.repeat(axis, 7), np.tile(axis, 7)]))
 
 
 @pytest.mark.parametrize(
