@@ -248,6 +248,27 @@ def _bivariate_cauchy_log_moment(gamma: float, k: float) -> float:
     return 2.0
 
 
+def _sample_norms(y: np.ndarray, p: Optional[int]) -> np.ndarray:
+    """|y| for scalar samples, row norms for vector samples, of dimension p if given."""
+    dim = 1 if y.ndim == 1 else y.shape[1]
+    if p is not None and dim != p:
+        raise ValueError(f"input has dimension {dim}, expected {p}")
+    if y.ndim == 1:
+        return np.abs(y)
+    # Squares of coordinates above about 1.3e154 overflow; hypot does not.
+    with np.errstate(over="ignore"):
+        mags = np.linalg.norm(y, axis=1)
+    over = np.isinf(mags)
+    if over.any():
+        mags[over] = np.hypot.reduce(y[over], axis=1)
+    return mags
+
+
+def _sample_log_moment(mags: np.ndarray, k: float) -> float:
+    """Mean of ln(1 + (|y|/k)^2) over sample norms."""
+    return float(np.mean(np.log1p((mags / k) ** 2)))
+
+
 def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
     """E ln(1 + ||Y/k||^2).
 
@@ -266,15 +287,10 @@ def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
             if isinstance(obj, Degenerate)
             else np.asarray(obj, dtype=float)
         )
-        dim = 1 if y.ndim == 1 else y.shape[1]
-    else:
-        dim, gamma, radial, integrate = law
+        return _sample_log_moment(_sample_norms(y, p), k)
+    dim, gamma, radial, integrate = law
     if p is not None and dim != p:
         raise ValueError(f"input has dimension {dim}, expected {p}")
-
-    if law is None:
-        q = (y / k) ** 2 if y.ndim == 1 else np.sum((y / k) ** 2, axis=1)
-        return float(np.mean(np.log1p(q)))
     if isinstance(obj, UnivariateCauchy):
         u, v = gamma / k, obj.location / k
         return math.log1p(u * (u + 2.0) + v * v)
@@ -296,19 +312,20 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
         if np.any(loc != 0.0):
             raise ValueError("dispersion of an off-origin point mass is undefined")
         return 0.0
+    c = spec.c
     law = _law(obj)
     if law is None:
-        obj = np.asarray(obj, dtype=float)
-        if not np.isfinite(obj).all():
+        y = np.asarray(obj, dtype=float)
+        if not np.isfinite(y).all():
             raise ValueError("dispersion of samples needs finite values (got NaN or inf)")
-        mags = np.abs(obj) if obj.ndim == 1 else np.linalg.norm(obj, axis=1)
+        mags = _sample_norms(y, spec.p)
         s = float(np.median(mags)) or 1.0
+        g = lambda k: _sample_log_moment(mags, k) - c
     else:
         s = law[1]
+        g = lambda k: log_moment(obj, k, p=spec.p) - c
     from scipy.optimize import brentq
 
-    c = spec.c
-    g = lambda k: log_moment(obj, k, p=spec.p) - c
     lo, hi = 1e-6 * s, 1e6 * s
     for _ in range(60):
         if g(lo) > 0.0:
@@ -343,6 +360,26 @@ def feasibility(
     return g.lam - slack <= d <= level + slack
 
 
+_KNN_QUERY_BLOCK = 65_536
+
+
+def _nearest_neighbor_distances(x: np.ndarray) -> np.ndarray:
+    """Distance from each row of x to its nearest other row, by a KD-tree.
+
+    Queries in the tree's leaf order walk the nodes the previous query left
+    in cache; blocks bound the copies of points and results.  The distances
+    do not depend on the order of the queries.
+    """
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(x)
+    order, eps = tree.indices, np.empty(len(x))
+    for start in range(0, len(x), _KNN_QUERY_BLOCK):
+        block = order[start:start + _KNN_QUERY_BLOCK]
+        eps[block] = tree.query(x[block], k=2)[0][:, 1]
+    return eps
+
+
 def _knn_entropy(samples: np.ndarray) -> EntropyEstimate:
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -360,11 +397,7 @@ def _knn_entropy(samples: np.ndarray) -> EntropyEstimate:
         eps[-1] = gaps[-1]
         eps[1:-1] = np.minimum(gaps[:-1], gaps[1:])
     else:
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(x)
-        dist, _ = tree.query(x, k=2)
-        eps = dist[:, 1]
+        eps = _nearest_neighbor_distances(x)
     mask = eps > 0.0
     dropped = int(n - mask.sum())
     if dropped:

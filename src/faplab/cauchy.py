@@ -131,7 +131,12 @@ def isotropic_cauchy(
     loc = np.zeros(p) if location is None else np.atleast_1d(np.asarray(location, dtype=float))
     if p == 1:
         return UnivariateCauchy(float(loc[0]), scale)
-    return MultivariateCauchy(loc, scale * scale * np.eye(p))
+    s2 = float(scale) * float(scale)
+    if not 0.0 < s2 < math.inf:
+        raise ValueError(
+            f"scale {scale} is out of range: its square {'overflows' if s2 else 'underflows'}"
+        )
+    return MultivariateCauchy(loc, s2 * np.eye(p))
 
 
 def pdf_univariate(d: UnivariateCauchy, x):

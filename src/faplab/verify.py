@@ -569,12 +569,16 @@ def _check_table_columns(quick: bool):
 
 def _check_manifest_roundtrip(quick: bool):
     import filecmp
+    import io
     import tempfile
+    from contextlib import redirect_stdout
     from pathlib import Path
 
     from . import cli
 
-    with tempfile.TemporaryDirectory() as tmp:
+    # The runs' "wrote <temporary path>" lines would make the check report
+    # differ from run to run; they are dropped.
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
         out1, out2 = Path(tmp) / "a", Path(tmp) / "b"
         rc = cli.run(["table1", "--a-min", "1", "--a-max", "4", "--a-count", "7",
                       "--out", str(out1)])

@@ -141,6 +141,20 @@ def test_dispersion_on_samples():
     assert dispersion_of(3.0 * x, SPEC1) == pytest.approx(3.0 * d, rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dispersion_on_bivariate_samples():
+    y = sample_multivariate(iso2(1.5), 200_000, seed=9)
+    d = dispersion_of(y, SPEC2)
+    assert d == pytest.approx(1.5, rel=0.02)
+    assert dispersion_of(3.0 * y, SPEC2) == pytest.approx(3.0 * d, rel=1e-10)
+    # Some rows' squared norms overflow at this scale.
+    assert dispersion_of(1e150 * y, SPEC2) == pytest.approx(1e150 * d, rel=1e-10)
+    with pytest.raises(ValueError, match="input has dimension 2, expected 1"):
+        dispersion_of(y, SPEC1)
+    with pytest.raises(ValueError, match="input has dimension 1, expected 2"):
+        dispersion_of(y[:, 0], SPEC2)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_dispersion_rejects_non_finite_samples(bad):
     x = sample_univariate(UnivariateCauchy(0.0, 1.5), 5000, seed=6)
@@ -209,6 +223,25 @@ def test_entropy_knn_in_three_and_more_columns(d):
     ):
         est = entropy_estimate(samples, "knn")
         assert abs(est.value - exact) <= 3.0 * est.std_error + 0.03
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_knn_distances_equal_a_plain_tree_query(d):
+    from scipy.spatial import cKDTree
+
+    from faplab.capacity import _nearest_neighbor_distances
+
+    # 150,001 rows end the last query block at an uneven boundary; three
+    # planted duplicate pairs give six zero distances.
+    n = 150_001
+    x = np.random.default_rng(21).standard_cauchy((n, d))
+    x[[10, 70_000, 150_000]] = x[[5, 69_999, 3]]
+    ref = cKDTree(x).query(x, k=2)[0][:, 1]
+    assert np.array_equal(_nearest_neighbor_distances(x), ref)
+    dropped = int(np.count_nonzero(ref == 0.0))
+    assert dropped == 6
+    with pytest.warns(RuntimeWarning, match=f"dropped {dropped} duplicate points"):
+        entropy_estimate(x, "knn")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -302,6 +335,13 @@ def test_capacity_closed_form_laws_equal_hand_built(A, floor):
         assert np.array_equal(inp.scale_matrix, (A - floor) * (A - floor) * np.eye(2))
     else:
         assert isinstance(inp, Degenerate) and np.array_equal(inp.location, np.zeros(2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_capacity_closed_form_3d_scale_too_large_to_square():
+    with pytest.raises(ValueError, match="its square overflows"):
+        capacity_closed_form("fap3d", 1e160, 1.0)
+    assert capacity_closed_form("fap2d", 1e160, 1.0).capacity == math.log(1e160)
 
 
 def test_capacity_closed_form_gaussian():

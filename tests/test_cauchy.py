@@ -68,6 +68,23 @@ def test_isotropic_cauchy_rejects_non_positive_scale(p, scale):
         isotropic_cauchy(p, scale)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "scale, word",
+    [
+        pytest.param(1e160, "overflows", id="large"),
+        pytest.param(np.float64(1e160), "overflows", id="large-float64"),
+        pytest.param(1e-170, "underflows", id="small"),
+    ],
+)
+def test_isotropic_cauchy_rejects_scale_whose_square_leaves_float_range(p, scale, word):
+    with pytest.raises(ValueError, match=f"out of range: its square {word}"):
+        isotropic_cauchy(p, scale)
+    # The univariate law never forms the square.
+    assert isotropic_cauchy(1, scale).scale == scale
+
+
 def test_isotropic_cauchy_rejects_bad_dimension_and_location():
     with pytest.raises(ValueError, match="dimension"):
         isotropic_cauchy(0, 1.0)

@@ -33,6 +33,12 @@ def test_capacity_infeasible_exit_code(capsys):
     assert "noise floor" in capsys.readouterr().err
 
 
+def test_capacity_scale_whose_square_overflows_exits_1(capsys):
+    rc = run(["capacity", "--channel", "fap3d", "--A", "1e160", "--lambda", "1"])
+    assert rc == 1
+    assert "error: scale 1e+160 is out of range: its square overflows" in capsys.readouterr().err
+
+
 def test_unknown_flag_usage_error():
     assert run(["capacity", "--bogus", "1"]) == EXIT_USAGE
     assert run(["not-a-subcommand"]) == EXIT_USAGE
@@ -224,6 +230,17 @@ def test_verify_subset(capsys):
     assert out.count("[PASS]") == 6
     rc = run(["verify", "--only", "no-such-check"])
     assert rc == EXIT_USAGE
+
+
+def test_verify_stdout_is_only_check_lines(capsys):
+    # The manifest round-trip runs the CLI in-process; its "wrote <temporary
+    # directory>" lines must not reach the report.
+    rc = run(["verify", "--quick", "--only", "cli/"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] cli/manifest_roundtrip: byte-identical rerun",
+        "1/1 checks passed",
+    ]
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

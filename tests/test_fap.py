@@ -11,6 +11,7 @@ from faplab.fap import (
     FapPoint,
     arrival_probability,
     density_grid,
+    fap_density,
     fap_pdf,
     fap_pdf_2d,
     fap_pdf_3d,
@@ -333,3 +334,12 @@ def test_drifted_density_far_tail_is_zero(dim, drift, y):
     pdf = fap_pdf_2d if dim == 2 else fap_pdf_3d
     pt = FapPoint((0.0,) * (dim - 1), y)
     assert pdf(ChannelGeometry(dim), DriftVector(*drift), pt) == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("drift", [(0.3, -0.5), (1e-3, 0.0), (0.0, 0.0)])
+def test_2d_density_at_tiny_lambda(drift):
+    # rho^2 = 2e-600 underflows; the density 1 / (2 pi 1e-300) must not.
+    g = ChannelGeometry(2, 1e-300, 1.0)
+    f = fap_density(g, DriftVector(*drift), [0.0], [[1e-300]])
+    assert f[0] == pytest.approx(1.0 / (2.0 * math.pi * 1e-300), rel=1e-12)
