@@ -41,12 +41,8 @@ from .cauchy import (
     pdf_univariate,
 )
 from .fap import ChannelGeometry, zero_drift_reduction
-from .quadrature import (
-    integrate_plane,
-    integrate_plane_radial,
-    integrate_real_line,
-)
-from .special import EULER_GAMMA, digamma, log_gamma, w2
+from .quadrature import line_integral, plane_integral, radial_integral
+from .special import EULER_GAMMA, digamma, log_gamma, scipy_special, w2
 
 __all__ = [
     "InfeasibleError",
@@ -133,7 +129,11 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class CustomDensity:
-    """A user-supplied normalized pdf with the hints quadrature needs."""
+    """A user-supplied normalized pdf with the hints quadrature needs.
+
+    pdf is called on arrays: a 1-D array of points when dim is 1, an (n, 2)
+    array of points when dim is 2, returning one density value per point.
+    """
 
     pdf: Callable
     dim: int
@@ -189,7 +189,8 @@ def _law(obj):
     """(dim, scale, radial, integrate) for a law with a density; None otherwise.
 
     This is the one quadrature route for laws.  integrate(h, extra=0.0) is
-    the integral over R^dim of h(f(y), ||y||) for the law's density f, under
+    the integral over R^dim of h(f(y), ||y||) for the law's density f, with
+    h evaluated elementwise on arrays of density values and norms, under
     the cotangent substitution around the law's center: on the line in
     dimension 1, radially for a law isotropic about the origin in the plane
     (radial is True), and over the full plane otherwise.  An integrand with
@@ -198,7 +199,7 @@ def _law(obj):
     """
     if isinstance(obj, UnivariateCauchy):
         dim, center, scale, radial = 1, obj.location, obj.scale, False
-        pdf = lambda y: float(pdf_univariate(obj, y))
+        pdf = lambda y: pdf_univariate(obj, y)
     elif isinstance(obj, MultivariateCauchy):
         dim, center, pdf = obj.dim, obj.location, lambda y: pdf_multivariate(obj, y)
         s2 = float(np.max(np.diag(obj.scale_matrix)))
@@ -209,24 +210,26 @@ def _law(obj):
             and np.allclose(obj.scale_matrix, s2 * np.eye(dim), rtol=1e-12, atol=0.0)
         )
     elif isinstance(obj, MaxentProfile):
-        dim, center, scale, radial = obj.p, 0.0, obj.k, obj.p == 2
-        pdf = lambda y: float(obj.pdf([y])[0])
+        dim, center, scale, radial, pdf = obj.p, 0.0, obj.k, obj.p == 2, obj.pdf
     elif isinstance(obj, CustomDensity):
-        dim, center, scale, radial = obj.dim, obj.center, obj.scale, False
-        pdf = lambda y: float(obj.pdf(y))
+        dim, center, scale, radial, pdf = obj.dim, obj.center, obj.scale, False, obj.pdf
     else:
         return None
     c = np.broadcast_to(np.asarray(center, dtype=float), (dim,))
 
-    def integrate(h: Callable[[float, float], float], extra: float = 0.0) -> float:
+    def integrate(h: Callable[[np.ndarray, np.ndarray], np.ndarray], extra: float = 0.0) -> float:
         s = scale + extra
         if dim == 1:
-            return integrate_real_line(lambda y: h(pdf(y), abs(y)), center=float(c[0]), scale=s)
+            return line_integral(lambda y: h(pdf(y), np.abs(y)), center=float(c[0]), scale=s)
         if dim != 2:
             raise ValueError("quadrature supports dimensions 1 and 2")
         if radial:
-            return integrate_plane_radial(lambda r: h(pdf((r, 0.0)), r), scale=s)
-        return integrate_plane(lambda y: h(pdf(y), math.hypot(*y)), center=tuple(c), scale=s)
+            return radial_integral(
+                lambda r: h(pdf(np.column_stack([r, np.zeros_like(r)])), r), scale=s
+            )
+        return plane_integral(
+            lambda y: h(pdf(y), np.hypot(y[:, 0], y[:, 1])), center=tuple(c), scale=s
+        )
 
     return dim, scale, radial, integrate
 
@@ -296,15 +299,16 @@ def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
         return math.log1p(u * (u + 2.0) + v * v)
     if isinstance(obj, MultivariateCauchy) and radial:
         return _bivariate_cauchy_log_moment(gamma, k)
-    return integrate(lambda f, r: f * math.log1p((r / k) ** 2), k)
+    return integrate(lambda f, r: f * np.log1p((r / k) ** 2), k)
 
 
 def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     """The unique k with log_moment(Y, k) = c(p); 0 for a point mass at the origin.
 
-    Bisection-style root finding on an expanding bracket seeded by a robust
-    scale (heavy tails make moment-based initial guesses useless): the law's
-    own scale, or the median sample norm.
+    Bisection-style root finding on a bracket that starts at [s/10, 10 s]
+    around a robust scale s (heavy tails make moment-based initial guesses
+    useless): the law's own scale, or the median sample norm.  Each end
+    moves out tenfold until the log-moment changes sign across it.
     """
     obj = dist_or_samples
     if isinstance(obj, Degenerate):
@@ -326,7 +330,7 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
         g = lambda k: log_moment(obj, k, p=spec.p) - c
     from scipy.optimize import brentq
 
-    lo, hi = 1e-6 * s, 1e6 * s
+    lo, hi = 0.1 * s, 10.0 * s
     for _ in range(60):
         if g(lo) > 0.0:
             break
@@ -445,7 +449,7 @@ def _quadrature_entropy(dist) -> EntropyEstimate:
         mass = integrate(lambda f, r: f)
         if abs(mass - 1.0) > 1e-6:
             raise ValueError(f"density is not normalized: integral = {mass}")
-    value = integrate(lambda f, r: -f * math.log(f) if f > 0.0 else 0.0)
+    value = integrate(lambda f, r: scipy_special().entr(f))
     return EntropyEstimate(value, "quadrature")
 
 
@@ -535,6 +539,12 @@ def _spec_dict(dist) -> dict:
     raise TypeError(f"cannot serialize {type(dist).__name__}")
 
 
+def _log_ratio(a: float, b: float) -> float:
+    """ln(a / b), as ln a - ln b where the quotient overflows."""
+    q = a / b
+    return math.log(q) if math.isfinite(q) else math.log(a) - math.log(b)
+
+
 def capacity_closed_form(channel: str, A: float, floor: float) -> CapacityResult:
     """Closed-form capacity at dispersion level A over noise floor.
 
@@ -556,7 +566,7 @@ def capacity_closed_form(channel: str, A: float, floor: float) -> CapacityResult
             f"dispersion level A={A} below the noise floor {floor}"
         )
     if channel == "gaussian":
-        cap = math.log(A / floor)
+        cap = _log_ratio(A, floor)
         out = GaussianSpec(A * A)
         inp = GaussianSpec(A * A - floor * floor)
         return CapacityResult(channel, A, floor, cap, out, inp)
@@ -568,7 +578,7 @@ def capacity_closed_form(channel: str, A: float, floor: float) -> CapacityResult
         if p > 1
         else ""
     )
-    return CapacityResult(channel, A, floor, p * math.log(A / floor), out, inp, note)
+    return CapacityResult(channel, A, floor, p * _log_ratio(A, floor), out, inp, note)
 
 
 def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
@@ -616,9 +626,9 @@ def capacity_table(A_values: Sequence[float], lam: float, sigma: float):
     rows = []
     for a in A_values:
         a = float(a)
-        c2 = math.log(a / lam) if a >= lam else math.nan
-        c3 = 2.0 * math.log(a / lam) if a >= lam else math.nan
-        cg = math.log(a / sigma) if a >= sigma else math.nan
+        c2 = _log_ratio(a, lam) if a >= lam else math.nan
+        c3 = 2.0 * c2
+        cg = _log_ratio(a, sigma) if a >= sigma else math.nan
         rows.append({"A": a, "C_gauss": cg, "C_2d": c2, "C_3d": c3})
     return rows
 

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .quadrature import integrate_real_line
+from .quadrature import line_integral
 from .special import digamma, log_beta, log_gamma
 
 __all__ = [
@@ -269,6 +269,4 @@ def linear_combination(d: MultivariateCauchy, v) -> UnivariateCauchy:
 
 def normalization_univariate(d: UnivariateCauchy) -> float:
     """Quadrature of the univariate density over the line (sanity hook)."""
-    return integrate_real_line(
-        lambda y: float(pdf_univariate(d, y)), center=d.location, scale=d.scale
-    )
+    return line_integral(lambda y: pdf_univariate(d, y), center=d.location, scale=d.scale)

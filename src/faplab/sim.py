@@ -152,9 +152,10 @@ def effective_workers(requested: Optional[int] = None) -> int:
 
 def _coarse_block_size(g: ChannelGeometry, dt: float) -> int:
     # First block span ~2.5% of the diffusive time scale lam^2/sigma2: the
-    # bridge trigger then fires within ~0.7 lam of the barrier.
-    m = int(round(0.025 * g.lam**2 / (g.sigma2 * dt)))
-    return max(8, min(m, 8192))
+    # bridge trigger then fires within ~0.7 lam of the barrier.  Clamped
+    # before the conversion to int, which an infinite quotient would overflow.
+    m = min(0.025 * g.lam * g.lam / (g.sigma2 * dt), 8192.0)
+    return max(8, int(round(m)))
 
 
 def _bridge_points(rng, a, b, n, step_var):
@@ -375,7 +376,7 @@ def sample_exact_zero_drift(
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
     gauss = rng.standard_normal((n, g.n_transverse))
-    times = g.lam**2 / (g.sigma2 * z * z)
+    times = g.lam * g.lam / (g.sigma2 * z * z)
     positions = x_in + g.lam * gauss / np.abs(z)[:, None]
     return FapSampleSet(
         positions=positions,

@@ -21,7 +21,7 @@ from . import cauchy as cy
 from . import fap
 from . import sim
 from . import special
-from .quadrature import integrate_plane, integrate_plane_radial, integrate_real_line
+from .quadrature import line_integral, plane_integral, radial_integral
 
 __all__ = ["CheckResult", "run_checks", "check_names"]
 
@@ -105,14 +105,12 @@ def _check_norm_bivariate(quick: bool):
     worst = 0.0
     for gamma in (0.5, 1.0, 4.0):
         d = cy.isotropic_cauchy(2, gamma)
-        val = integrate_plane_radial(
-            lambda r: float(cy.pdf_multivariate(d, [[r, 0.0]])[0]), scale=gamma
+        val = radial_integral(
+            lambda r: cy.pdf_multivariate(d, np.column_stack([r, np.zeros_like(r)])), scale=gamma
         )
         worst = max(worst, abs(val - 1.0))
     an = cy.MultivariateCauchy([0.2, -0.4], [[2.0, 0.5], [0.5, 1.0]])
-    val = integrate_plane(
-        lambda y: float(cy.pdf_multivariate(an, [y])[0]), center=(0.2, -0.4), scale=1.5
-    )
+    val = plane_integral(lambda y: cy.pdf_multivariate(an, y), center=(0.2, -0.4), scale=1.5)
     worst = max(worst, abs(val - 1.0))
     return worst <= 1e-6, f"worst |integral - 1| = {worst:.2e} (tol 1e-6)"
 
@@ -229,11 +227,12 @@ def _check_marginal_3d_to_2d(quick: bool):
     g3 = fap.ChannelGeometry(3, 1.4, 1.0)
     g2 = fap.ChannelGeometry(2, 1.4, 1.0)
     red2 = fap.zero_drift_reduction(g2, 0.0)
+    zero = fap.DriftVector.zero(3)
     worst = 0.0
     for y1 in (0.0, 0.9, 3.5):
-        marg = integrate_real_line(
-            lambda y2: fap.fap_pdf_3d(
-                g3, fap.DriftVector.zero(3), fap.FapPoint((0.0, 0.0), (y1, y2))
+        marg = line_integral(
+            lambda y2: fap.fap_density(
+                g3, zero, (0.0, 0.0), np.column_stack([np.full_like(y2, y1), y2])
             ),
             center=0.0,
             scale=math.sqrt(y1 * y1 + g3.lam**2),
@@ -245,12 +244,12 @@ def _check_marginal_3d_to_2d(quick: bool):
 def _arrival_mass_by_quadrature(g: fap.ChannelGeometry, v: fap.DriftVector) -> float:
     """Total arrival mass by integrating the density over the receiver plane (input at 0)."""
     origin = (0.0,) * g.n_transverse
-    f = lambda y: fap.fap_pdf(g, v, fap.FapPoint(origin, y))
+    f = lambda y: fap.fap_density(g, v, origin, y)
     if g.dimension == 2:
-        return integrate_real_line(f, scale=g.lam, epsabs=1e-11, epsrel=1e-11)
+        return line_integral(lambda y: f(y[:, None]), scale=g.lam, epsabs=1e-11, epsrel=1e-11)
     if not any(v.transverse):  # isotropic in the plane
-        return integrate_plane_radial(lambda r: f((r, 0.0)), scale=g.lam)
-    return integrate_plane(f, scale=g.lam, epsabs=1e-8, epsrel=1e-8)
+        return radial_integral(lambda r: f(np.column_stack([r, np.zeros_like(r)])), scale=g.lam)
+    return plane_integral(f, scale=g.lam, epsabs=1e-8, epsrel=1e-8)
 
 
 def _check_arrival_probability_zero_drift(quick: bool):
@@ -498,7 +497,7 @@ def _check_closed_form_log_moments(quick: bool):
     for d in laws:
         integrate = cap._law(d)[3]
         for k in ks:
-            by_quad = integrate(lambda f, r: f * math.log1p((r / k) ** 2), k)
+            by_quad = integrate(lambda f, r: f * np.log1p((r / k) ** 2), k)
             worst = max(worst, abs(cap.log_moment(d, k) / by_quad - 1.0))
     for p in (1, 2):
         for mu in np.linspace(0.5 * p + 0.2, 0.5 * p + 4.0, 20):

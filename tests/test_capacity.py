@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import faplab.capacity as capacity_module
 from faplab.capacity import (
     ConstraintSpec,
     CustomDensity,
     DispersionLevel,
     GaussianSpec,
     InfeasibleError,
+    MaxentProfile,
     capacity_closed_form,
     capacity_table,
     dispersion_of,
@@ -28,6 +30,7 @@ from faplab.cauchy import (
     sample_univariate,
 )
 from faplab.fap import ChannelGeometry
+from faplab.quadrature import QuadratureError
 from faplab.special import log_gamma, w2
 
 SPEC1 = ConstraintSpec(1)
@@ -161,6 +164,46 @@ def test_dispersion_rejects_non_finite_samples(bad):
     x[17] = bad
     with pytest.raises(ValueError, match="finite"):
         dispersion_of(x, SPEC1)
+
+
+# Roots of E ln(1 + (Y/k)^2) = 2 ln 2 for the unit-scale line profile, by mpmath at
+# 30 digits: ln(1 + (1-u)/(u k^2)) over u = 1/(1 + Y^2) ~ Beta(mu - 1/2, 1/2).
+@pytest.mark.parametrize("mu, root", [(0.55, 2.11465398166979e11), (0.6, 11395.5695872191)])
+def test_dispersion_of_near_pole_profile(mu, root):
+    prof = MaxentProfile(1, 1.0, mu, SPEC1.c)
+    assert dispersion_of(prof, SPEC1) == pytest.approx(root, rel=1e-9)
+
+
+def test_dispersion_of_profile_at_the_pole_is_a_quadrature_error():
+    with pytest.raises(QuadratureError):
+        dispersion_of(MaxentProfile(1, 1.0, 0.51, SPEC1.c), SPEC1)
+
+
+@pytest.mark.parametrize(
+    "law, spec",
+    [
+        (MaxentProfile(1, 1.1, 1.7, SPEC1.c), SPEC1),
+        (MaxentProfile(2, 0.9, 2.2, SPEC2.c), SPEC2),
+        (UnivariateCauchy(0.0, 1.8), SPEC1),
+        (sample_univariate(UnivariateCauchy(0.0, 1.8), 100_000, seed=3), SPEC1),
+    ],
+    ids=["profile_1d", "profile_2d", "cauchy", "cauchy_samples"],
+)
+def test_dispersion_solve_work(law, spec, monkeypatch):
+    # Log-moment evaluations per solve: the starting bracket [s/10, 10 s]
+    # around the robust scale s keeps them at 13-17 (31-36 from [s/1e6, 1e6 s]).
+    calls = []
+
+    def counted(real):
+        def f(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return f
+
+    for name in ("log_moment", "_sample_log_moment"):
+        monkeypatch.setattr(capacity_module, name, counted(getattr(capacity_module, name)))
+    dispersion_of(law, spec)
+    assert 0 < len(calls) <= 20
 
 
 # feasibility ---------------------------------------------------------------------
@@ -439,6 +482,15 @@ def test_capacity_table_values_and_identities():
     for r in rows:
         assert r["C_3d"] == 2.0 * r["C_2d"]
         assert r["C_gauss"] == r["C_2d"]  # sigma = lam
+
+
+def test_capacity_past_the_float_range_of_the_ratio():
+    # A / floor overflows; ln A - ln floor does not.
+    want = math.log(1e308) - math.log(1e-308)
+    assert capacity_closed_form("fap2d", 1e308, 1e-308).capacity == pytest.approx(want, rel=1e-15)
+    row = capacity_table([1e308], lam=1e-308, sigma=1e-308)[0]
+    assert row["C_2d"] == row["C_gauss"] == pytest.approx(want, rel=1e-15)
+    assert row["C_3d"] == 2.0 * row["C_2d"]
 
 
 def test_capacity_table_marks_infeasible():

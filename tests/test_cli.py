@@ -39,6 +39,17 @@ def test_capacity_scale_whose_square_overflows_exits_1(capsys):
     assert "error: scale 1e+160 is out of range: its square overflows" in capsys.readouterr().err
 
 
+def test_capacity_json_is_valid_past_the_float_range_of_the_ratio(capsys):
+    rc = run(["capacity", "--channel", "fap2d", "--A", "1e308", "--lambda", "1e-308"])
+    assert rc == EXIT_OK
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["capacity"] == pytest.approx(1418.39, abs=0.01)
+
+
 def test_unknown_flag_usage_error():
     assert run(["capacity", "--bogus", "1"]) == EXIT_USAGE
     assert run(["not-a-subcommand"]) == EXIT_USAGE
@@ -142,6 +153,17 @@ def test_simulate_outputs_and_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert sorted(manifest["outputs"]) == ["samples.csv", "simulate_config.json"]
+
+
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_simulate_at_a_distance_whose_square_overflows(dim, tmp_path):
+    out = tmp_path / "s"
+    rc = run(["simulate", "-n", dim, "--lambda", "1e160", "--particles", "10",
+              "--max-steps", "100", "--out", str(out)])
+    assert rc == EXIT_OK
+    with open(out / "samples.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10 and all(r["censored"] == "1" for r in rows)
 
 
 def test_manifest_rerun_byte_identical(tmp_path):
