@@ -11,10 +11,12 @@ maximum-entropy solving and sample-based entropy estimation.
 Closed forms are the production path: the Cauchy log-moments and the
 max-entropy constraint value w2(mu, p/2) are elementary or digamma
 functions, so dispersions and max-entropy exponents are root-solves over
-them.  What has no closed form (the log-moment of a max-entropy profile at
-a foreign scale, quadrature entropies, the normalization of a custom
-density) goes through one quadrature route, ``_law``, which also serves as
-the independent cross-check of the closed forms.
+them: dispersions by ``brentq`` on a bracket, exponents by Newton's method
+climbing monotonically to the root (see ``maxent_profile``).  What has no
+closed form (the log-moment of a max-entropy profile at a foreign scale,
+quadrature entropies, the normalization of a custom density) goes through
+one quadrature route, ``_law``, which also serves as the independent
+cross-check of the closed forms.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .cauchy import (
 )
 from .fap import ChannelGeometry, zero_drift_reduction
 from .quadrature import line_integral, plane_integral, radial_integral
-from .special import EULER_GAMMA, digamma, log_gamma, scipy_special, w2
+from .special import EULER_GAMMA, digamma, log_gamma, scipy_special, trigamma, w2
 
 __all__ = [
     "InfeasibleError",
@@ -376,11 +378,11 @@ def _nearest_neighbor_distances(x: np.ndarray) -> np.ndarray:
     """
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(x)
+    tree = cKDTree(x, compact_nodes=False)
     order, eps = tree.indices, np.empty(len(x))
     for start in range(0, len(x), _KNN_QUERY_BLOCK):
         block = order[start:start + _KNN_QUERY_BLOCK]
-        eps[block] = tree.query(x[block], k=2)[0][:, 1]
+        eps[block] = tree.query(x[block], k=[2])[0][:, 0]
     return eps
 
 
@@ -566,10 +568,14 @@ def capacity_closed_form(channel: str, A: float, floor: float) -> CapacityResult
             f"dispersion level A={A} below the noise floor {floor}"
         )
     if channel == "gaussian":
-        cap = _log_ratio(A, floor)
-        out = GaussianSpec(A * A)
-        inp = GaussianSpec(A * A - floor * floor)
-        return CapacityResult(channel, A, floor, cap, out, inp)
+        var = A * A
+        if not 0.0 < var < math.inf:
+            raise ValueError(
+                f"scale {A} is out of range: its square {'overflows' if var else 'underflows'}"
+            )
+        out = GaussianSpec(var)
+        inp = GaussianSpec(var - floor * floor)
+        return CapacityResult(channel, A, floor, _log_ratio(A, floor), out, inp)
     p = 1 if channel == "fap2d" else 2
     out = isotropic_cauchy(p, A)
     inp = isotropic_cauchy(p, A - floor) if A > floor else Degenerate(out.location)
@@ -581,16 +587,26 @@ def capacity_closed_form(channel: str, A: float, floor: float) -> CapacityResult
     return CapacityResult(channel, A, floor, p * _log_ratio(A, floor), out, inp, note)
 
 
+_NEWTON_MAX_STEPS = 50
+
+
 def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
     """Entropy maximizer under E ln(1 + ||y/k||^2) = c over densities on R^p.
 
     A single logarithmic constraint forces the exponential-family shape
     f(y) proportional to (1 + ||y/k||^2)^(-mu), whose constraint value is
-    w2(mu, p/2) = psi(mu) - psi(mu - p/2) at every k; the exponent is found
-    by monotone root finding on that digamma difference.
+    w2(mu, a) = psi(mu) - psi(mu - a), a = p/2, at every k.  The exponent
+    solves g(mu) = w2(mu, a) - c = 0 by Newton's method, with
+    g'(mu) = psi'(mu) - psi'(mu - a).  g is decreasing and convex on
+    (a, inf) because psi'' is negative and increasing, and psi is concave,
+    so w2(mu, a) >= min(a, 1) / (mu - a).  Newton started at
+    mu0 = a + min(a, 1) / c therefore begins left of the root and climbs to
+    it without overshooting, each step shrinking |g|.  It stops at the
+    first step that does not raise mu or does not shrink |g|: in floating
+    point, w2 is flat across steps below its rounding unit.  A target so
+    large that mu0 rounds to a, or so small that w2 cancels in rounding,
+    is rejected.
     """
-    from scipy.optimize import brentq
-
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
     c = spec.c
@@ -601,23 +617,30 @@ def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
     p = spec.p
     if p not in (1, 2):
         raise ValueError("profiles are implemented for dimensions 1 and 2")
-    g = lambda mu: w2(mu, 0.5 * p) - c
-    lo = 0.5 * p + 0.05
-    if g(lo) < 0.0:
-        for _ in range(40):
-            lo = 0.5 * p + 0.5 * (lo - 0.5 * p)
-            if g(lo) > 0.0:
-                break
-        else:
-            raise RuntimeError("failed to bracket the profile exponent from below")
-    hi = 0.5 * p + 4.0
-    for _ in range(40):
-        if g(hi) < 0.0:
+    a = 0.5 * p
+    mu = a + min(a, 1.0) / c
+    if not mu > a:
+        raise ValueError(f"constraint value {c} is too large: the exponent rounds to p/2 = {a}")
+    g = w2(mu, a) - c
+    for _ in range(_NEWTON_MAX_STEPS):
+        slope = trigamma(mu - a) - trigamma(mu)  # -g'(mu) > 0
+        nxt = mu + g / slope if slope > 0.0 else mu
+        if not nxt > mu:
             break
-        hi = 0.5 * p + 2.0 * (hi - 0.5 * p)
+        g_nxt = w2(nxt, a) - c
+        if not abs(g_nxt) < abs(g):
+            break
+        mu, g = nxt, g_nxt
     else:
-        raise RuntimeError("failed to bracket the profile exponent from above")
-    mu = float(brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200))
+        raise RuntimeError("Newton's method did not converge on the profile exponent")
+    if not abs(g) < c:
+        raise ValueError(f"constraint value {c} is too small: w2 cancels near mu = {mu:.6g}")
+    # Rounding in w2 can leave g at its smallest size over neighbouring
+    # floats, and the climb stops at the lowest of them; the upper neighbour
+    # is taken when it fits no worse (mu = 1 exactly at p = 1 and c = 2 ln 2).
+    up = math.nextafter(mu, math.inf)
+    if abs(w2(up, a) - c) <= abs(g):
+        mu = up
     return MaxentProfile(p=p, k=float(k), mu=mu, target=c)
 
 

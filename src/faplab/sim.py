@@ -170,6 +170,12 @@ def _bridge_points(rng, a, b, n, step_var):
     return j, mean + np.sqrt(step_var * j * (n - j) / n) * rng.standard_normal(a.size)
 
 
+def _may_cross(a, b, bound):
+    """The crossing test a*b <= bound; a product that overflows is +inf: no crossing."""
+    with np.errstate(over="ignore"):
+        return a * b <= bound
+
+
 def _first_crossings(rng, z, path, size, thresh, step_var):
     """Earliest crossing step of each particle within one batch of coarse blocks.
 
@@ -182,7 +188,8 @@ def _first_crossings(rng, z, path, size, thresh, step_var):
     crossing.  Returns the crossing unit steps (p, s, a, b), at most one per
     particle, with s counted from the batch start.
     """
-    p, s = np.nonzero(np.concatenate([z[:, None], path[:, :-1]], axis=1) * path <= thresh * size)
+    p, s = np.nonzero(_may_cross(np.concatenate([z[:, None], path[:, :-1]], axis=1), path,
+                                 thresh * size))
     a = np.where(s > 0, path[p, s - 1], z[p])
     b = path[p, s]
     s = s * size
@@ -192,7 +199,7 @@ def _first_crossings(rng, z, path, size, thresh, step_var):
     absorbed = path <= 0.0
     first = (np.where(absorbed.any(axis=1), absorbed.argmax(axis=1), path.shape[1]) + 1) * size
     while True:
-        keep = (s < first[p]) & ((b <= 0.0) | ((n > 1) & (a * b <= thresh * n)))
+        keep = (s < first[p]) & ((b <= 0.0) | ((n > 1) & _may_cross(a, b, thresh * n)))
         p, s, n, a, b = p[keep], s[keep], n[keep], a[keep], b[keep]
         if not (n > 1).any():
             return p, s, a, b

@@ -1,7 +1,10 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import faplab.capacity as capacity_module
 from faplab.capacity import (
@@ -387,6 +390,16 @@ def test_capacity_closed_form_3d_scale_too_large_to_square():
     assert capacity_closed_form("fap2d", 1e160, 1.0).capacity == math.log(1e160)
 
 
+@pytest.mark.parametrize(
+    "A, floor, how", [(1e155, 1.0, "overflows"), (1e-200, 1e-200, "underflows")]
+)
+def test_capacity_closed_form_gaussian_rejects_a_level_whose_square_leaves_the_float_range(
+    A, floor, how
+):
+    with pytest.raises(ValueError, match=f"its square {how}"):
+        capacity_closed_form("gaussian", A, floor)
+
+
 def test_capacity_closed_form_gaussian():
     r = capacity_closed_form("gaussian", 2.0, 1.0)
     assert r.capacity == pytest.approx(math.log(2.0), abs=1e-14)
@@ -448,6 +461,57 @@ def test_maxent_cached_normalizer_is_exact(p, k):
 def test_maxent_exponent_monotone_in_target():
     mus = [maxent_profile(ConstraintSpec(1, target=c), 1.0).mu for c in (0.9, 1.39, 2.1)]
     assert mus[0] > mus[1] > mus[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([1, 2]),
+    e1=st.floats(min_value=-3.0, max_value=6.0),
+    e2=st.floats(min_value=-3.0, max_value=6.0),
+)
+def test_maxent_exponent_solves_the_target_and_falls_with_it(p, e1, e2):
+    assume(abs(e1 - e2) >= 1e-3)
+    c1, c2 = 10.0**e1, 10.0**e2
+    mu1 = maxent_profile(ConstraintSpec(p, target=c1), 1.0).mu
+    mu2 = maxent_profile(ConstraintSpec(p, target=c2), 1.0).mu
+    assert w2(mu1, 0.5 * p) == pytest.approx(c1, rel=1e-9)
+    assert w2(mu2, 0.5 * p) == pytest.approx(c2, rel=1e-9)
+    assert (mu1 > mu2) == (c1 < c2)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_maxent_exponent_at_the_paper_constant_is_exact(p):
+    assert maxent_profile(ConstraintSpec(p), 1.0).mu == 0.5 * (1 + p)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_maxent_targets_past_the_float_range_are_value_errors(p):
+    # Newton's start point rounds to p/2 above about 1e16; below about 1e-14
+    # the digamma difference cancels.  Near those ends either outcome is
+    # right, but no other exception may escape.
+    for e in np.linspace(-300.0, 300.0, 1201):
+        spec = ConstraintSpec(p, target=10.0**e)
+        if -13.0 <= e <= 15.0:
+            assert 0.5 * p < maxent_profile(spec, 1.0).mu < math.inf
+        elif abs(e) >= 16.0:
+            with pytest.raises(ValueError, match="too large" if e > 0 else "too small"):
+                maxent_profile(spec, 1.0)
+        else:
+            with contextlib.suppress(ValueError):
+                maxent_profile(spec, 1.0)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_maxent_solve_work(monkeypatch, p):
+    # Where w2 rounds to the same value across Newton steps, the climb stops
+    # instead of creeping across the flat stretch.
+    calls = []
+    real = capacity_module.w2
+    monkeypatch.setattr(capacity_module, "w2", lambda t, a: calls.append(t) or real(t, a))
+    for e in np.linspace(-13.0, 15.0, 561):
+        calls.clear()
+        maxent_profile(ConstraintSpec(p, target=10.0**e), 1.0)
+        assert len(calls) <= 10, e
 
 
 def test_maxent_rejects_bad_target():

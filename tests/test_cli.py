@@ -39,15 +39,34 @@ def test_capacity_scale_whose_square_overflows_exits_1(capsys):
     assert "error: scale 1e+160 is out of range: its square overflows" in capsys.readouterr().err
 
 
-def test_capacity_json_is_valid_past_the_float_range_of_the_ratio(capsys):
-    rc = run(["capacity", "--channel", "fap2d", "--A", "1e308", "--lambda", "1e-308"])
-    assert rc == EXIT_OK
+def _strict_json(text):
+    """json.loads that raises on the non-JSON constants Infinity and NaN."""
 
     def reject(name):
         raise ValueError(f"not JSON: {name}")
 
-    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    return json.loads(text, parse_constant=reject)
+
+
+def test_capacity_json_is_valid_past_the_float_range_of_the_ratio(capsys):
+    rc = run(["capacity", "--channel", "fap2d", "--A", "1e308", "--lambda", "1e-308"])
+    assert rc == EXIT_OK
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["capacity"] == pytest.approx(1418.39, abs=0.01)
+
+
+@pytest.mark.parametrize("channel", ["fap2d", "fap3d", "gaussian"])
+@pytest.mark.parametrize("A", ["1e154", "1e308"])
+def test_capacity_json_is_valid_or_the_level_is_rejected(capsys, channel, A):
+    # Squaring 1e308 overflows; only fap2d never squares the level.
+    rc = run(["capacity", "--channel", channel, "--A", A])
+    out, err = capsys.readouterr()
+    if channel == "fap2d" or A == "1e154":
+        assert rc == EXIT_OK
+        assert _strict_json(out)["A"] == float(A)
+    else:
+        assert rc == 1 and out == ""
+        assert f"error: scale {float(A)} is out of range: its square overflows" in err
 
 
 def test_unknown_flag_usage_error():
@@ -102,8 +121,9 @@ for argv, code in (
 ):
     assert run(argv) == code, argv
     assert not scipy_modules(), (argv, scipy_modules())
-assert run(["maxent", "--p", "2", "--grid-points", "5"]) == 0
-assert "scipy.special" in sys.modules and "scipy.optimize" in sys.modules
+for p in ("1", "2"):
+    assert run(["maxent", "--p", p, "--grid-points", "5"]) == 0
+    assert "scipy.special" in sys.modules and "scipy.optimize" not in sys.modules, p
 """
 
 
@@ -155,6 +175,7 @@ def test_simulate_outputs_and_manifest(tmp_path):
     assert sorted(manifest["outputs"]) == ["samples.csv", "simulate_config.json"]
 
 
+@pytest.mark.filterwarnings("error:overflow:RuntimeWarning")
 @pytest.mark.parametrize("dim", ["2", "3"])
 def test_simulate_at_a_distance_whose_square_overflows(dim, tmp_path):
     out = tmp_path / "s"
@@ -243,6 +264,15 @@ def test_maxent_large_target(capsys, p, c):
     assert rc == EXIT_OK
     mu = json.loads(capsys.readouterr().out)["mu"]
     assert w2(mu, 0.5 * p) == pytest.approx(float(c), rel=1e-9)
+
+
+@pytest.mark.parametrize("p", ["1", "2"])
+@pytest.mark.parametrize("c, reason", [("1e300", "too large"), ("1e-300", "too small")])
+def test_maxent_target_past_the_float_range_exits_1(capsys, p, c, reason):
+    rc = run(["maxent", "--p", p, "--c", c])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert f"error: constraint value {float(c)} is {reason}" in err
 
 
 def test_verify_subset(capsys):
