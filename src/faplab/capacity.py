@@ -12,7 +12,10 @@ Closed forms are the production path: the Cauchy log-moments and the
 max-entropy constraint value w2(mu, p/2) are elementary or digamma
 functions, so dispersions and max-entropy exponents are root-solves over
 them: dispersions by ``brentq`` on a bracket, exponents by Newton's method
-climbing monotonically to the root (see ``maxent_profile``).  What has no
+climbing monotonically to the root (see ``maxent_profile``).  At p = 2 (the
+3D channel's planar output) the exponent and the profile's normalizer are
+elementary, so the p = 2 max-entropy profile loads no scipy; at p = 1 it loads
+``scipy.special`` only, and the routes below load more.  What has no
 closed form (the log-moment of a max-entropy profile at a foreign scale,
 quadrature entropies, the normalization of a custom density) goes through
 one quadrature route, ``_law``, which also serves as the independent
@@ -154,13 +157,14 @@ class MaxentProfile:
 
     @cached_property
     def log_norm(self) -> float:
-        """ln of the normalizing constant: pi^{p/2} k^p Gamma(mu - p/2) / Gamma(mu)."""
-        return (
-            0.5 * self.p * math.log(math.pi)
-            + self.p * math.log(self.k)
-            + log_gamma(self.mu - 0.5 * self.p)
-            - log_gamma(self.mu)
-        )
+        """ln of the normalizing constant: pi^{p/2} k^p Gamma(mu - p/2) / Gamma(mu).
+
+        At p = 2 the gamma ratio is 1 / (mu - 1), with no scipy.
+        """
+        head = 0.5 * self.p * math.log(math.pi) + self.p * math.log(self.k)
+        if self.p == 2:
+            return head - math.log(self.mu - 1.0)
+        return head + log_gamma(self.mu - 0.5 * self.p) - log_gamma(self.mu)
 
     def pdf(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -606,6 +610,9 @@ def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
     point, w2 is flat across steps below its rounding unit.  A target so
     large that mu0 rounds to a, or so small that w2 cancels in rounding,
     is rejected.
+
+    At p = 2, w2(mu, 1) = 1 / (mu - 1), so mu0 = 1 + 1/c is the root itself
+    and no step is taken; only a target whose 1/c overflows is too small.
     """
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
@@ -621,6 +628,10 @@ def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
     mu = a + min(a, 1.0) / c
     if not mu > a:
         raise ValueError(f"constraint value {c} is too large: the exponent rounds to p/2 = {a}")
+    if p == 2:
+        if mu == math.inf:
+            raise ValueError(f"constraint value {c} is too small: the exponent 1 + 1/c overflows")
+        return MaxentProfile(p=p, k=float(k), mu=mu, target=c)
     g = w2(mu, a) - c
     for _ in range(_NEWTON_MAX_STEPS):
         slope = trigamma(mu - a) - trigamma(mu)  # -g'(mu) > 0

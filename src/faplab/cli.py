@@ -14,6 +14,9 @@ seed, version, outputs, duration) next to its outputs; re-running the argv
 stored in a manifest reproduces the primary outputs byte for byte.  Worker
 count is capped by the FAPLAB_THREADS environment variable and never
 affects results.
+
+Each subcommand imports what it uses only after the arguments parse, so
+``--version``, ``--help`` and usage errors load no numpy.
 """
 
 from __future__ import annotations
@@ -26,21 +29,7 @@ import time
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .capacity import (
-    ConstraintSpec,
-    InfeasibleError,
-    capacity_closed_form,
-    capacity_table,
-    maxent_profile,
-    write_capacity_table_csv,
-    write_capacity_table_json,
-    write_curve_files,
-)
-from .fap import ChannelGeometry, DriftVector, density_grid, write_density_grid_csv
-from .sim import SimConfig, simulate_first_arrival, write_config_json, write_samples_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -91,7 +80,7 @@ def _channel_from_args(args):
     """(geometry, drift, input) for -n d: the first d drift and d - 1 input flags.
 
     A drift or input flag beyond the dimension (--vz or --x2 with -n 2) is a
-    usage error rather than silently ignored.
+    usage error rather than silently ignored; it is raised before numpy loads.
     """
     d = args.dimension
     drift = (("--vx", args.vx), ("--vy", args.vy), ("--vz", args.vz))
@@ -99,6 +88,8 @@ def _channel_from_args(args):
     given = [flag for flag, value in drift[d:] + x[d - 1:] if value is not None]
     if given:
         raise argparse.ArgumentError(None, f"3D-only flags given with -n {d}: {', '.join(given)}")
+    from .fap import ChannelGeometry, DriftVector
+
     value = lambda pair: 0.0 if pair[1] is None else pair[1]
     return (ChannelGeometry(d, args.lam, args.sigma2),
             DriftVector(*map(value, drift[:d])), tuple(map(value, x[: d - 1])))
@@ -197,6 +188,8 @@ def rerun_from_manifest(manifest_path, out_dir=None) -> int:
 def _cmd_density(args, argv) -> int:
     started = time.time()
     g, v, x = _channel_from_args(args)
+    from .fap import density_grid, write_density_grid_csv
+
     cols, rows = density_grid(g, v, x, args.ymin, args.ymax, args.points)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -222,11 +215,13 @@ def _cmd_density(args, argv) -> int:
 def _cmd_simulate(args, argv) -> int:
     started = time.time()
     g, v, x = _channel_from_args(args)
+    from .sim import SimConfig, simulate_first_arrival, write_config_json, write_samples_csv
+
     cfg = SimConfig(
         geometry=g, drift=v, dt=args.dt, n_particles=args.particles,
         max_steps=args.max_steps, seed=args.seed, stepper=args.stepper,
     )
-    result = simulate_first_arrival(cfg, x_in=np.asarray(x))
+    result = simulate_first_arrival(cfg, x_in=x)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "samples.csv"
@@ -243,13 +238,11 @@ def _cmd_simulate(args, argv) -> int:
 
 
 def _cmd_capacity(args, argv) -> int:
+    from .capacity import capacity_closed_form
+
     started = time.time()
     floor = args.sigma if args.channel == "gaussian" else args.lam
-    try:
-        result = capacity_closed_form(args.channel, args.A, floor)
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    result = capacity_closed_form(args.channel, args.A, floor)
     payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
     print(payload)
     if args.out is not None:
@@ -261,6 +254,8 @@ def _cmd_capacity(args, argv) -> int:
 
 
 def _cmd_maxent(args, argv) -> int:
+    from .capacity import ConstraintSpec, maxent_profile
+
     started = time.time()
     spec = ConstraintSpec(args.p, target=args.c)
     profile = maxent_profile(spec, args.k)
@@ -303,6 +298,15 @@ def _cmd_verify(args, argv) -> int:
 
 
 def _cmd_table1(args, argv) -> int:
+    import numpy as np
+
+    from .capacity import (
+        capacity_table,
+        write_capacity_table_csv,
+        write_capacity_table_json,
+        write_curve_files,
+    )
+
     started = time.time()
     if args.a_min < args.lam or args.a_min < args.sigma:
         print(
@@ -351,12 +355,15 @@ def run(argv: Sequence[str]) -> int:
     except argparse.ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_INFEASIBLE if _infeasible(exc) else EXIT_CHECK_FAILED
+
+
+def _infeasible(exc: Exception) -> bool:
+    """Whether exc is a capacity.InfeasibleError; only a loaded capacity raises one."""
+    capacity = sys.modules.get(f"{__package__}.capacity")
+    return capacity is not None and isinstance(exc, capacity.InfeasibleError)
 
 
 def main() -> None:

@@ -5,16 +5,19 @@ Thin wrappers over ``scipy.special``: log-gamma (``gammaln``), digamma
 function K1, plain (``k1``) and exponentially scaled (``k1e``).  The
 wrappers add the domain checks, return plain floats and warn when K1
 underflows.  ``w2`` is the digamma difference that fixes the dispersion
-constraint constants.
+constraint constants; for an integer offset it is psi's recurrence, exact
+and without scipy.
 
 ``scipy.special`` is imported on first use, through ``scipy_special``, so
 that commands which never evaluate a special function (closed-form
-capacities, zero-drift densities, simulation) start without it.
+capacities, zero-drift densities, simulation, the p = 2 max-entropy
+profile) start without it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015328606
+_W2_RECURRENCE_MAX = 16  # integer offsets that w2 sums term by term
 
 
 @functools.cache
@@ -99,11 +103,15 @@ def w2(t: float, a: float) -> float:
     This is the constant-evaluation function behind the logarithmic
     dispersion constraint: the constraint constant in dimension p is
     w2((1+p)/2, p/2), giving 2 ln 2 for p = 1 and 2 for p = 2.
+
+    For integer a (up to 16) the difference is psi's recurrence,
+    sum_{j=1..a} 1/(t - j), summed exactly and without scipy; it stays
+    accurate at large t, where the digamma difference cancels.
     """
     t = float(t)
     a = float(a)
     if not t > a:
         raise ValueError(f"w2 requires t > a, got t={t}, a={a}")
-    if a == 0.0:
-        return 0.0
+    if a.is_integer() and a <= _W2_RECURRENCE_MAX:
+        return math.fsum(1.0 / (t - j) for j in range(1, int(a) + 1))
     return digamma(t) - digamma(t - a)

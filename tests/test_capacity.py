@@ -1,5 +1,6 @@
 import contextlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -486,12 +487,14 @@ def test_maxent_exponent_at_the_paper_constant_is_exact(p):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_maxent_targets_past_the_float_range_are_value_errors(p):
-    # Newton's start point rounds to p/2 above about 1e16; below about 1e-14
-    # the digamma difference cancels.  Near those ends either outcome is
-    # right, but no other exception may escape.
+    # Newton's start point rounds to p/2 above about 1e16.  At p = 1 the
+    # digamma difference cancels below about 1e-14; at p = 2 every target in
+    # the sweep solves (see the test below).  Near those ends either outcome
+    # is right, but no other exception may escape.
+    smallest = -13.0 if p == 1 else -300.0
     for e in np.linspace(-300.0, 300.0, 1201):
         spec = ConstraintSpec(p, target=10.0**e)
-        if -13.0 <= e <= 15.0:
+        if smallest <= e <= 15.0:
             assert 0.5 * p < maxent_profile(spec, 1.0).mu < math.inf
         elif abs(e) >= 16.0:
             with pytest.raises(ValueError, match="too large" if e > 0 else "too small"):
@@ -499,6 +502,19 @@ def test_maxent_targets_past_the_float_range_are_value_errors(p):
         else:
             with contextlib.suppress(ValueError):
                 maxent_profile(spec, 1.0)
+
+
+def test_maxent_exponent_in_the_plane_is_exact_down_to_the_smallest_targets():
+    # mu = 1 + 1/c solves w2(mu, 1) = 1/(mu - 1) = c to within rounding for
+    # every target up to 1, down to the smallest whose reciprocal is finite;
+    # a target whose reciprocal overflows is too small.
+    tiny = math.nextafter(1.0 / sys.float_info.max, 1.0)
+    assert 1.0 / tiny < math.inf and 1.0 / math.nextafter(tiny, 0.0) == math.inf
+    for c in [tiny, *10.0 ** np.linspace(-300.0, 0.0, 601)]:
+        mu = maxent_profile(ConstraintSpec(2, target=c), 1.0).mu
+        assert w2(mu, 1.0) == pytest.approx(c, rel=4e-16), c
+    with pytest.raises(ValueError, match="too small"):
+        maxent_profile(ConstraintSpec(2, target=math.nextafter(tiny, 0.0)), 1.0)
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -23,7 +23,7 @@ from faplab.cauchy import (
     sample_univariate,
 )
 from faplab.capacity import entropy_estimate
-from faplab.quadrature import integrate_plane, integrate_plane_radial
+from faplab.quadrature import plane_integral, radial_integral
 from faplab.sim import ks_statistic, ks_two_sample
 from faplab.special import log_gamma
 
@@ -224,14 +224,12 @@ def test_normalization_univariate():
 def test_normalization_bivariate():
     for gamma in (0.5, 2.0):
         d = MultivariateCauchy([0.0, 0.0], gamma**2 * np.eye(2))
-        val = integrate_plane_radial(
-            lambda r: float(pdf_multivariate(d, [[r, 0.0]])[0]), scale=gamma
+        val = radial_integral(
+            lambda r: pdf_multivariate(d, np.column_stack([r, np.zeros_like(r)])), scale=gamma
         )
         assert val == pytest.approx(1.0, abs=1e-6)
     an = MultivariateCauchy([0.3, -0.5], [[1.5, 0.4], [0.4, 0.9]])
-    val = integrate_plane(
-        lambda y: float(pdf_multivariate(an, [y])[0]), center=(0.3, -0.5), scale=1.2
-    )
+    val = plane_integral(lambda y: pdf_multivariate(an, y), center=(0.3, -0.5), scale=1.2)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 

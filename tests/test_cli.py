@@ -106,24 +106,31 @@ import sys
 
 import faplab, faplab.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
 
-assert not scipy_modules(), scipy_modules()
+assert not loaded("numpy"), loaded("numpy")
 run = faplab.cli.run
 for argv, code in (
-    (["capacity", "--channel", "fap3d", "--A", "3", "--lambda", "1.5"], 0),
-    (["table1", "--out", "table1"], 0),
-    (["density", "-n", "3", "--points", "5", "--out", "density"], 0),
-    (["simulate", "--dt", "1e-2", "--particles", "50", "--max-steps", "2000",
-      "--out", "simulate"], 0),
+    (["--version"], 0),
+    (["--help"], 0),
     (["capacity", "--channel", "fap2d", "--A", "nan"], 2),
+    (["density", "-n", "2", "--vz", "1", "--out", "density"], 2),
 ):
     assert run(argv) == code, argv
-    assert not scipy_modules(), (argv, scipy_modules())
-for p in ("1", "2"):
-    assert run(["maxent", "--p", p, "--grid-points", "5"]) == 0
-    assert "scipy.special" in sys.modules and "scipy.optimize" not in sys.modules, p
+    assert not loaded("numpy"), (argv, loaded("numpy"))
+for argv in (
+    ["capacity", "--channel", "fap3d", "--A", "3", "--lambda", "1.5"],
+    ["table1", "--out", "table1"],
+    ["density", "-n", "3", "--points", "5", "--out", "density"],
+    ["simulate", "--dt", "1e-2", "--particles", "50", "--max-steps", "2000",
+     "--out", "simulate"],
+    ["maxent", "--p", "2", "--grid-points", "5"],
+):
+    assert run(argv) == 0, argv
+    assert not loaded("scipy"), (argv, loaded("scipy"))
+assert run(["maxent", "--p", "1", "--grid-points", "5"]) == 0
+assert "scipy.special" in sys.modules and "scipy.optimize" not in sys.modules
 """
 
 
@@ -134,6 +141,18 @@ def test_closed_form_commands_do_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_SCRIPT], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_resolve_lazily_to_their_defining_modules():
+    star = {}
+    exec("from faplab import *", star)
+    for name in faplab.__all__:
+        obj = getattr(faplab, name)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+        assert star[name] is obj, name
+    assert set(faplab.__all__) <= set(dir(faplab))
+    with pytest.raises(AttributeError):
+        faplab.no_such_name
 
 
 def test_density_csv_zero_drift(tmp_path):
@@ -266,13 +285,22 @@ def test_maxent_large_target(capsys, p, c):
     assert w2(mu, 0.5 * p) == pytest.approx(float(c), rel=1e-9)
 
 
-@pytest.mark.parametrize("p", ["1", "2"])
-@pytest.mark.parametrize("c, reason", [("1e300", "too large"), ("1e-300", "too small")])
+@pytest.mark.parametrize(
+    "c, reason, p",
+    [("1e300", "too large", "1"), ("1e300", "too large", "2"),
+     ("1e-300", "too small", "1"), ("1e-310", "too small", "2")],
+)
 def test_maxent_target_past_the_float_range_exits_1(capsys, p, c, reason):
     rc = run(["maxent", "--p", p, "--c", c])
     out, err = capsys.readouterr()
     assert rc == 1 and out == ""
     assert f"error: constraint value {float(c)} is {reason}" in err
+
+
+def test_maxent_exponent_in_the_plane_is_exact_at_a_tiny_target(capsys):
+    assert run(["maxent", "--p", "2", "--c", "1e-300", "--grid-points", "5"]) == EXIT_OK
+    mu = json.loads(capsys.readouterr().out)["mu"]
+    assert w2(mu, 1.0) == pytest.approx(1e-300, rel=4e-16)
 
 
 def test_verify_subset(capsys):

@@ -15,6 +15,7 @@ from faplab.special import (
     log_gamma,
     w2,
 )
+from faplab.verify import _check_w2_golden
 
 # Independent oracles ------------------------------------------------------
 
@@ -176,6 +177,11 @@ def test_k1_domain():
 def test_w2_dimension_constants():
     assert w2(1.0, 0.5) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
     assert w2(1.5, 1.0) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_w2_integer_offset_is_the_digamma_difference():
+    passed, detail = _check_w2_golden(quick=False)
+    assert passed, detail
 
 
 def test_w2_zero_offset():
