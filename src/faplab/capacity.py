@@ -11,8 +11,10 @@ maximum-entropy solving and sample-based entropy estimation.
 Closed forms are the production path: the Cauchy log-moments and the
 max-entropy constraint value w2(mu, p/2) are elementary or digamma
 functions, so dispersions and max-entropy exponents are root-solves over
-them: dispersions by ``brentq`` on a bracket, exponents by Newton's method
-climbing monotonically to the root (see ``maxent_profile``).  At p = 2 (the
+them, both by Newton's method on a decreasing convex function, whose
+iterates climb to the root from its left without overshooting: dispersions
+in ln k, with the log-moment and its slope from one evaluation per step (see
+``dispersion_of``), exponents in mu (see ``maxent_profile``).  At p = 2 (the
 3D channel's planar output) the exponent and the profile's normalizer are
 elementary, so the p = 2 max-entropy profile loads no scipy; at p = 1 it loads
 ``scipy.special`` only, and the routes below load more.  What has no
@@ -47,7 +49,7 @@ from .cauchy import (
 )
 from .fap import ChannelGeometry, zero_drift_reduction
 from .quadrature import line_integral, plane_integral, radial_integral
-from .special import EULER_GAMMA, digamma, log_gamma, scipy_special, trigamma, w2
+from .special import EULER_GAMMA, digamma, log_gamma, log_gamma_ratio, scipy_special, trigamma, w2
 
 __all__ = [
     "InfeasibleError",
@@ -162,9 +164,7 @@ class MaxentProfile:
         At p = 2 the gamma ratio is 1 / (mu - 1), with no scipy.
         """
         head = 0.5 * self.p * math.log(math.pi) + self.p * math.log(self.k)
-        if self.p == 2:
-            return head - math.log(self.mu - 1.0)
-        return head + log_gamma(self.mu - 0.5 * self.p) - log_gamma(self.mu)
+        return head + log_gamma_ratio(self.mu, 0.5 * self.p)
 
     def pdf(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -201,7 +201,9 @@ def _law(obj):
     dimension 1, radially for a law isotropic about the origin in the plane
     (radial is True), and over the full plane otherwise.  An integrand with
     structure at a second length as well (k in a log-moment) passes it as
-    extra; the substitution then uses the sum of the two lengths.
+    extra; the substitution then uses the sum of the two lengths.  With
+    rows = m, h returns m rows of values and integrate returns the m
+    integrals from one quadrature call.
     """
     if isinstance(obj, UnivariateCauchy):
         dim, center, scale, radial = 1, obj.location, obj.scale, False
@@ -223,18 +225,20 @@ def _law(obj):
         return None
     c = np.broadcast_to(np.asarray(center, dtype=float), (dim,))
 
-    def integrate(h: Callable[[np.ndarray, np.ndarray], np.ndarray], extra: float = 0.0) -> float:
+    def integrate(h: Callable[[np.ndarray, np.ndarray], np.ndarray], extra: float = 0.0,
+                  rows: Optional[int] = None):
         s = scale + extra
         if dim == 1:
-            return line_integral(lambda y: h(pdf(y), np.abs(y)), center=float(c[0]), scale=s)
+            return line_integral(lambda y: h(pdf(y), np.abs(y)), center=float(c[0]), scale=s,
+                                 rows=rows)
         if dim != 2:
             raise ValueError("quadrature supports dimensions 1 and 2")
         if radial:
             return radial_integral(
-                lambda r: h(pdf(np.column_stack([r, np.zeros_like(r)])), r), scale=s
+                lambda r: h(pdf(np.column_stack([r, np.zeros_like(r)])), r), scale=s, rows=rows
             )
         return plane_integral(
-            lambda y: h(pdf(y), np.hypot(y[:, 0], y[:, 1])), center=tuple(c), scale=s
+            lambda y: h(pdf(y), np.hypot(y[:, 0], y[:, 1])), center=tuple(c), scale=s, rows=rows
         )
 
     return dim, scale, radial, integrate
@@ -273,9 +277,76 @@ def _sample_norms(y: np.ndarray, p: Optional[int]) -> np.ndarray:
     return mags
 
 
-def _sample_log_moment(mags: np.ndarray, k: float) -> float:
-    """Mean of ln(1 + (|y|/k)^2) over sample norms."""
-    return float(np.mean(np.log1p((mags / k) ** 2)))
+def _bivariate_cauchy_slope(gamma: float, k: float, L: float) -> float:
+    """E[q / (1 + q)], q = ||Y/k||^2, for the central isotropic bivariate Cauchy law.
+
+    1 - k^2 (1 - L/2) / (k^2 - gamma^2) for the log-moment L at k.  Both
+    factors vanish at k = gamma, so within 5 % of gamma^2 in k^2 the series
+    2/3 + 2 sum_j (-e)^j / ((2j + 1)(2j + 3)), e = k^2 / gamma^2 - 1, is
+    summed instead (to j = 12, past the last term that counts).
+    """
+    e = (k / gamma - 1.0) * (k / gamma + 1.0)
+    if abs(e) < 0.05:
+        return 2.0 / 3.0 + 2.0 * sum((-e) ** j / ((2 * j + 1) * (2 * j + 3)) for j in range(1, 13))
+    return 1.0 - (1.0 - 0.5 * L) / ((1.0 - gamma / k) * (1.0 + gamma / k))
+
+
+def _norms_or_law(obj, p: Optional[int]):
+    """(obj, _law(obj)) for a law with a density; (sample norms, None) otherwise.
+
+    A point mass counts as one sample.  The dimension is checked against p
+    if given.
+    """
+    law = _law(obj)
+    if law is None:
+        y = (np.atleast_2d(obj.location) if isinstance(obj, Degenerate)
+             else np.asarray(obj, dtype=float))
+        return _sample_norms(y, p), None
+    if p is not None and law[0] != p:
+        raise ValueError(f"input has dimension {law[0]}, expected {p}")
+    return obj, law
+
+
+def _ratio(q: np.ndarray) -> np.ndarray:
+    """q / (1 + q) to full relative precision, 0 at q = 0 and 1 at q = inf."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / (1.0 + 1.0 / q)
+
+
+def _log_moment_and_slope(obj, law, k: float, slope: bool = True):
+    """(L, D) at k: L = E ln(1 + q) and its slope D = E[q / (1 + q)] = -(1/2) dL/d ln k.
+
+    q = ||Y/k||^2, for (obj, law) from ``_norms_or_law``, by the routes of
+    ``log_moment``; on the quadrature route L and D are the two rows of one
+    call.  With slope False, D is None and L is evaluated alone.
+    """
+    if law is None:
+        with np.errstate(over="ignore"):
+            q = (obj / k) ** 2
+        L = float(np.mean(np.log1p(q)))
+        if L == math.inf:
+            # Norms past 1e154 k: ln(1 + q) is 2 ln(|y|/k) to the last bit.
+            terms, big = np.log1p(q), np.isinf(q)
+            terms[big] = 2.0 * (np.log(obj[big]) - math.log(k))
+            L = float(np.mean(terms))
+        return L, (float(np.mean(_ratio(q))) if slope else None)
+    _, gamma, radial, integrate = law
+    if isinstance(obj, UnivariateCauchy):
+        u, v = gamma / k, obj.location / k
+        D = (u * (u + 1.0) + v * v) / ((u + 1.0) ** 2 + v * v)
+        return math.log1p(u * (u + 2.0) + v * v), D
+    if isinstance(obj, MultivariateCauchy) and radial:
+        L = _bivariate_cauchy_log_moment(gamma, k)
+        return L, _bivariate_cauchy_slope(gamma, k, L)
+    if not slope:
+        return integrate(lambda f, r: f * np.log1p((r / k) ** 2), k), None
+
+    def rows(f, r):
+        q = (r / k) ** 2
+        return np.stack([f * np.log1p(q), f * _ratio(q)])
+
+    L, D = integrate(rows, k, rows=2)
+    return float(L), float(D)
 
 
 def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
@@ -288,33 +359,30 @@ def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
     """
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
-    obj = dist_or_samples
-    law = _law(obj)
-    if law is None:
-        y = (
-            np.atleast_2d(obj.location)
-            if isinstance(obj, Degenerate)
-            else np.asarray(obj, dtype=float)
-        )
-        return _sample_log_moment(_sample_norms(y, p), k)
-    dim, gamma, radial, integrate = law
-    if p is not None and dim != p:
-        raise ValueError(f"input has dimension {dim}, expected {p}")
-    if isinstance(obj, UnivariateCauchy):
-        u, v = gamma / k, obj.location / k
-        return math.log1p(u * (u + 2.0) + v * v)
-    if isinstance(obj, MultivariateCauchy) and radial:
-        return _bivariate_cauchy_log_moment(gamma, k)
-    return integrate(lambda f, r: f * np.log1p((r / k) ** 2), k)
+    return _log_moment_and_slope(*_norms_or_law(dist_or_samples, p), k, slope=False)[0]
+
+
+_LN10 = math.log(10.0)
+_DISPERSION_MAX_STEPS = 100
 
 
 def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     """The unique k with log_moment(Y, k) = c(p); 0 for a point mass at the origin.
 
-    Bisection-style root finding on a bracket that starts at [s/10, 10 s]
-    around a robust scale s (heavy tails make moment-based initial guesses
-    useless): the law's own scale, or the median sample norm.  Each end
-    moves out tenfold until the log-moment changes sign across it.
+    Newton's method in u = ln k on g(u) = L(e^u) - c, started at a robust
+    scale s (heavy tails make moment-based initial guesses useless): the
+    law's own scale, or the median sample norm.  g is decreasing and convex,
+    as each ln(1 + q e^(-2u)) is, with g'(u) = -2 D for the slope D of
+    ``_log_moment_and_slope``, which gives L and D from one evaluation; the
+    step is u += (L - c) / (2 D).  From right of the root (g < 0) a step
+    lands at or left of it, by convexity; from the left the iterates climb
+    to the root without overshooting, each shrinking g.  The stopping rule
+    applies on the left only: the solve ends at the first step that does not
+    shrink g >= 0 (in floating point L is flat across steps below its
+    rounding), keeping the nearer of the two points where the step crossed
+    the root in rounding.  No step moves k by more than a decade.  Where D
+    vanishes, every sample sits at q = 0 and there is no root; a log-moment
+    that is not finite is an error, never a stop.
     """
     obj = dist_or_samples
     if isinstance(obj, Degenerate):
@@ -323,33 +391,37 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
             raise ValueError("dispersion of an off-origin point mass is undefined")
         return 0.0
     c = spec.c
-    law = _law(obj)
-    if law is None:
-        y = np.asarray(obj, dtype=float)
-        if not np.isfinite(y).all():
-            raise ValueError("dispersion of samples needs finite values (got NaN or inf)")
-        mags = _sample_norms(y, spec.p)
-        s = float(np.median(mags)) or 1.0
-        g = lambda k: _sample_log_moment(mags, k) - c
+    if not c > 0.0:
+        raise ValueError(f"constraint value {c} is outside the attainable range (0, inf)")
+    obj, law = _norms_or_law(obj, spec.p)
+    if law is not None:
+        k = law[1]
+    elif np.isfinite(obj).all():
+        k = float(np.median(obj)) or 1.0
     else:
-        s = law[1]
-        g = lambda k: log_moment(obj, k, p=spec.p) - c
-    from scipy.optimize import brentq
-
-    lo, hi = 0.1 * s, 10.0 * s
-    for _ in range(60):
-        if g(lo) > 0.0:
+        raise ValueError("dispersion of samples needs finite norms (got NaN or inf)")
+    L, D = _log_moment_and_slope(obj, law, k)
+    g = L - c
+    for _ in range(_DISPERSION_MAX_STEPS):
+        if not math.isfinite(g):
+            raise RuntimeError(f"the log-moment is not finite at k = {k:.6g}")
+        if not D > 0.0:
+            raise RuntimeError("no dispersion root: the log-moment vanishes at every k")
+        nxt = k * math.exp(min(max(g / (2.0 * D), -_LN10), _LN10))
+        if nxt == k:
             break
-        lo *= 0.1
-    else:
-        raise RuntimeError("failed to bracket the dispersion root from below")
-    for _ in range(60):
-        if g(hi) < 0.0:
+        L, D_nxt = _log_moment_and_slope(obj, law, nxt)
+        g_nxt = L - c
+        if g >= 0.0 and math.isfinite(g_nxt) and not 0.0 <= g_nxt < g:
+            # Left of the root, g stopped shrinking or crossed zero in
+            # rounding: keep the nearer of the two.
+            if abs(g_nxt) < g:
+                k = nxt
             break
-        hi *= 10.0
+        k, g, D = nxt, g_nxt, D_nxt
     else:
-        raise RuntimeError("failed to bracket the dispersion root from above")
-    return float(brentq(g, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=300))
+        raise RuntimeError("Newton's method did not converge on the dispersion")
+    return k
 
 
 def feasibility(
@@ -608,8 +680,8 @@ def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
     it without overshooting, each step shrinking |g|.  It stops at the
     first step that does not raise mu or does not shrink |g|: in floating
     point, w2 is flat across steps below its rounding unit.  A target so
-    large that mu0 rounds to a, or so small that w2 cancels in rounding,
-    is rejected.
+    large that mu0 rounds to a, or so small (below about 1.1e-16) that
+    mu - 1/2 rounds, is rejected.
 
     At p = 2, w2(mu, 1) = 1 / (mu - 1), so mu0 = 1 + 1/c is the root itself
     and no step is taken; only a target whose 1/c overflows is too small.
@@ -644,8 +716,9 @@ def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
         mu, g = nxt, g_nxt
     else:
         raise RuntimeError("Newton's method did not converge on the profile exponent")
-    if not abs(g) < c:
-        raise ValueError(f"constraint value {c} is too small: w2 cancels near mu = {mu:.6g}")
+    if mu - (mu - a) != a:
+        # The normalizer's Gamma(mu - 1/2) needs an exponent offset that rounds away.
+        raise ValueError(f"constraint value {c} is too small: mu - p/2 rounds near mu = {mu:.6g}")
     # Rounding in w2 can leave g at its smallest size over neighbouring
     # floats, and the climb stops at the lowest of them; the upper neighbour
     # is taken when it fits no worse (mu = 1 exactly at p = 1 and c = 2 ln 2).

@@ -194,20 +194,115 @@ def test_dispersion_of_profile_at_the_pole_is_a_quadrature_error():
     ids=["profile_1d", "profile_2d", "cauchy", "cauchy_samples"],
 )
 def test_dispersion_solve_work(law, spec, monkeypatch):
-    # Log-moment evaluations per solve: the starting bracket [s/10, 10 s]
-    # around the robust scale s keeps them at 13-17 (31-36 from [s/1e6, 1e6 s]).
-    calls = []
+    # Newton steps in ln k from the robust scale s, each on one joint
+    # (log-moment, slope) evaluation: at most 8 per solve, and for a profile
+    # one tanhsinh call each.  The closed forms and the samples need none.
+    import scipy.integrate
 
-    def counted(real):
+    calls = {"joint": 0, "tanhsinh": 0}
+
+    def counted(name, real):
         def f(*args, **kwargs):
-            calls.append(args)
+            calls[name] += 1
             return real(*args, **kwargs)
         return f
 
-    for name in ("log_moment", "_sample_log_moment"):
-        monkeypatch.setattr(capacity_module, name, counted(getattr(capacity_module, name)))
+    monkeypatch.setattr(capacity_module, "_log_moment_and_slope",
+                        counted("joint", capacity_module._log_moment_and_slope))
+    monkeypatch.setattr(scipy.integrate, "tanhsinh", counted("tanhsinh", scipy.integrate.tanhsinh))
     dispersion_of(law, spec)
-    assert 0 < len(calls) <= 20
+    assert 0 < calls["joint"] <= 8
+    if isinstance(law, MaxentProfile):
+        assert calls["tanhsinh"] == calls["joint"]
+    else:
+        assert calls["tanhsinh"] == 0
+
+
+@pytest.mark.parametrize("p, mu", [(1, 3.5), (2, 4.0)])
+def test_dispersion_of_light_tailed_profile_solves_the_constraint(p, mu):
+    # Lighter tails than Cauchy put the root well below k.  The log-moment
+    # at the root is integrated alone, apart from the (log-moment, slope)
+    # rows the solve ran on.
+    spec = ConstraintSpec(p)
+    prof = MaxentProfile(p, 1.0, mu, spec.c)
+    d = dispersion_of(prof, spec)
+    assert d < 0.25
+    integrate = capacity_module._law(prof)[3]
+    assert integrate(lambda f, r: f * np.log1p((r / d) ** 2), d) == pytest.approx(spec.c, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from([1, 2]),
+    dmu=st.floats(min_value=0.4, max_value=3.5),
+    k=st.floats(min_value=0.1, max_value=10.0),
+    e=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_dispersion_of_profile_scales_with_the_profile(p, dmu, k, e):
+    spec = ConstraintSpec(p)
+    mu, s = 0.5 * p + dmu, 10.0**e
+    d = dispersion_of(MaxentProfile(p, k, mu, spec.c), spec)
+    scaled = dispersion_of(MaxentProfile(p, s * k, mu, spec.c), spec)
+    assert scaled == pytest.approx(s * d, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "law", [UnivariateCauchy(0.0, 1.3), UnivariateCauchy(2.0, 1.3), iso2(1.3)],
+    ids=["central", "off_center", "bivariate"],
+)
+def test_cauchy_slopes_match_quadrature(law):
+    # D = E[q / (1 + q)], q = ||Y/k||^2, in closed form against the quadrature
+    # route, across k = gamma where the bivariate form switches to its series.
+    near = [-0.04, -0.026, -0.024, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 0.024, 0.026, 0.04]
+    ks = 1.3 * np.concatenate([np.geomspace(0.1, 10.0, 9), 1.0 + np.array(near)])
+    law_ = capacity_module._law(law)
+    for k in ks:
+        by_quad = law_[3](lambda f, r: f * ((r / k) ** 2 / (1.0 + (r / k) ** 2)), k)
+        D = capacity_module._log_moment_and_slope(law, law_, k)[1]
+        assert D == pytest.approx(by_quad, rel=1e-12), k
+
+
+@pytest.mark.parametrize("y, spec", [(np.zeros(100), SPEC1), (np.zeros((100, 2)), SPEC2)],
+                         ids=["1d", "2d"])
+def test_dispersion_of_samples_at_the_origin_has_no_root(y, spec):
+    with pytest.raises(RuntimeError, match="no dispersion root"):
+        dispersion_of(y, spec)
+
+
+def test_dispersion_of_samples_decades_from_the_start():
+    # Mostly zeros put the median norm, and so the start, at k = 1 whatever
+    # the scale of the rest: the solve walks twelve decades down or up, a
+    # decade a step, from slopes near 1e-20 that 1 - E[1 / (1 + q)] rounds to 0.
+    x = sample_univariate(UnivariateCauchy(0.0, 1.0), 400, seed=4)
+    y = np.concatenate([np.zeros(600), x])
+    d = dispersion_of(y, SPEC1)
+    for s in (1e-12, 1e12):
+        assert dispersion_of(s * y, SPEC1) == pytest.approx(s * d, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dispersion_of_samples_with_a_far_outlier():
+    # (|y|/k)^2 overflows for the outlier at the start k = 1; ln(1 + q) is
+    # then 2 ln(|y|/k), not inf.  The root is by mpmath at 50 digits.
+    y = np.array([1.0] * 999 + [1e200])
+    assert dispersion_of(y, SPEC1) == pytest.approx(1.2974967350050678272, rel=1e-14)
+    y2 = np.column_stack([y, np.zeros_like(y)])
+    d2 = dispersion_of(y2, SPEC2)
+    assert log_moment(y2, d2) == pytest.approx(SPEC2.c, rel=1e-14)
+
+
+def test_dispersion_of_a_non_finite_log_moment_is_an_error(monkeypatch):
+    # An infinite log-moment is never taken for the root.
+    monkeypatch.setattr(capacity_module, "_log_moment_and_slope",
+                        lambda obj, law, k: (math.inf, 1.0))
+    with pytest.raises(RuntimeError, match="not finite"):
+        dispersion_of(np.ones(10), SPEC1)
+
+
+def test_dispersion_of_a_non_positive_target_is_a_value_error():
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="attainable range"):
+            dispersion_of(UnivariateCauchy(0.0, 1.0), ConstraintSpec(1, target=c))
 
 
 # feasibility ---------------------------------------------------------------------
@@ -442,11 +537,16 @@ def test_maxent_profile_matches_cauchy_shape():
 
 @pytest.mark.parametrize("p, k", [(1, 1.7), (2, 0.8)])
 def test_maxent_cached_normalizer_is_exact(p, k):
+    # The normalizer restated as the code forms it: the head plus the gamma
+    # ratio, which at p = 2 is the closed form 1 / (mu - 1) and at p = 1
+    # (mu = 1 here) the log-gamma difference.
     prof = maxent_profile(ConstraintSpec(p), k)
     mu = prof.mu
-    log_norm = (
-        0.5 * p * math.log(math.pi) + p * math.log(k) + log_gamma(mu - 0.5 * p) - log_gamma(mu)
-    )
+    head = 0.5 * p * math.log(math.pi) + p * math.log(k)
+    if p == 2:
+        log_norm = head - math.log(mu - 1.0)
+    else:
+        log_norm = head + (log_gamma(mu - 0.5) - log_gamma(mu))
     y = np.random.default_rng(2).normal(size=(40, p)) * 5.0
     if p == 1:
         y = y[:, 0]
@@ -457,6 +557,17 @@ def test_maxent_cached_normalizer_is_exact(p, k):
     assert np.array_equal(first, np.exp(-mu * np.log1p(q) - log_norm))
     assert np.array_equal(prof.pdf(y), first)
     assert prof.entropy_closed_form() == log_norm + mu * w2(mu, 0.5 * p)
+
+
+def test_maxent_plane_normalizer_closed_form_is_the_gamma_ratio():
+    # -ln(mu - 1) against log_gamma(mu - 1) - log_gamma(mu), to 2 ulp of the
+    # terms (the sum cancels near k = 1 / sqrt(2 pi)).
+    mu = maxent_profile(SPEC2, 1.0).mu
+    by_gamma = log_gamma(mu - 1.0) - log_gamma(mu)
+    for k in np.linspace(0.1, 3.0, 30):
+        head = math.log(math.pi) + 2.0 * math.log(k)
+        log_norm = MaxentProfile(2, float(k), mu, SPEC2.c).log_norm
+        assert abs(log_norm - (head + by_gamma)) <= 2.0 * math.ulp(abs(head) + abs(by_gamma)), k
 
 
 def test_maxent_exponent_monotone_in_target():
@@ -485,13 +596,35 @@ def test_maxent_exponent_at_the_paper_constant_is_exact(p):
     assert maxent_profile(ConstraintSpec(p), 1.0).mu == 0.5 * (1 + p)
 
 
+# Roots of psi(mu) - psi(mu - 1/2) = c by mpmath at 50 digits.
+@pytest.mark.parametrize(
+    "c, mu", [(1e-9, 500000000.749999999875), (1e-12, 500000000000.7499999999999),
+              (1e-14, 50000000000000.75)],
+)
+def test_maxent_exponent_on_the_line_at_small_targets(c, mu):
+    assert maxent_profile(ConstraintSpec(1, target=c), 1.0).mu == pytest.approx(mu, rel=1e-15)
+
+
+# ln Z + mu c at the roots of psi(mu) - psi(mu - 1/2) = c, by mpmath at 60 digits.
+@pytest.mark.parametrize(
+    "c, h", [(1e-6, -5.488815995777526810274), (1e-9, -8.942694384518532836363),
+             (1e-12, -12.39657202475885136233), (1e-15, -15.85044966425066913835)],
+)
+def test_maxent_entropy_on_the_line_at_small_targets(c, h):
+    # The normalizer's log-gamma difference is taken from Stirling's series:
+    # as log_gamma(mu - 1/2) - log_gamma(mu) it is off by 2e-3 nats at
+    # c = 1e-12 and whole nats at 1e-15.
+    prof = maxent_profile(ConstraintSpec(1, target=c), 1.0)
+    assert prof.entropy_closed_form() == pytest.approx(h, rel=0.0, abs=1e-14)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_maxent_targets_past_the_float_range_are_value_errors(p):
     # Newton's start point rounds to p/2 above about 1e16.  At p = 1 the
-    # digamma difference cancels below about 1e-14; at p = 2 every target in
-    # the sweep solves (see the test below).  Near those ends either outcome
-    # is right, but no other exception may escape.
-    smallest = -13.0 if p == 1 else -300.0
+    # exponent's offset mu - 1/2 rounds below about 1.1e-16; at p = 2 every
+    # target in the sweep solves (see the test below).  Near those ends
+    # either outcome is right, but no other exception may escape.
+    smallest = -15.0 if p == 1 else -300.0
     for e in np.linspace(-300.0, 300.0, 1201):
         spec = ConstraintSpec(p, target=10.0**e)
         if smallest <= e <= 15.0:

@@ -131,6 +131,17 @@ for argv in (
     assert not loaded("scipy"), (argv, loaded("scipy"))
 assert run(["maxent", "--p", "1", "--grid-points", "5"]) == 0
 assert "scipy.special" in sys.modules and "scipy.optimize" not in sys.modules
+
+from faplab.capacity import ConstraintSpec, dispersion_of
+from faplab.cauchy import UnivariateCauchy, isotropic_cauchy, sample_univariate
+
+for law, p in (
+    (sample_univariate(UnivariateCauchy(0.0, 1.5), 1000, seed=1), 1),
+    (UnivariateCauchy(0.5, 1.5), 1),
+    (isotropic_cauchy(2, 1.5), 2),
+):
+    assert dispersion_of(law, ConstraintSpec(p)) > 0.0
+    assert "scipy.optimize" not in sys.modules, (law, loaded("scipy"))
 """
 
 

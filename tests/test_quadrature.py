@@ -71,6 +71,36 @@ def test_array_cores_agree_with_scalar_adapters():
     assert by_scalar == pytest.approx(by_array, rel=1e-14)
 
 
+def _aniso(pts):
+    # Anisotropic bivariate Cauchy density with scale matrix diag(4, 1), off center.
+    u, w = (pts[:, 0] - 0.5) / 2.0, pts[:, 1] + 0.2
+    return (1.0 + u * u + w * w) ** -1.5 / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "core, f, kwargs",
+    [
+        (line_integral, lambda y: pdf_univariate(UnivariateCauchy(0.3, 1.7), y),
+         {"center": 0.3, "scale": 1.7}),
+        (radial_integral, lambda r: pdf_multivariate(isotropic_cauchy(2, 0.7),
+                                                     np.column_stack([r, np.zeros_like(r)])),
+         {"scale": 0.7}),
+        (plane_integral, _aniso, {"center": (0.5, -0.2), "scale": 2.0}),
+    ],
+    ids=["line", "radial", "plane"],
+)
+def test_rows_integrate_as_their_single_row_calls(core, f, kwargs):
+    # Rows are elements of one tanhsinh call that converge on their own, so
+    # each equals the integral of that row alone.
+    def q(y):
+        return y * y if y.ndim == 1 else y[:, 0] ** 2 + y[:, 1] ** 2
+
+    parts = (f, lambda y: f(y) * np.log1p(q(y)), lambda y: f(y) / (1.0 + q(y)))
+    rows = core(lambda y: np.stack([h(y) for h in parts]), rows=3, **kwargs)
+    assert rows.shape == (3,)
+    assert list(rows) == [core(h, **kwargs) for h in parts]
+
+
 def test_scalar_callable_may_overflow_python_float_arithmetic():
     # Nodes near theta = 0 sit at |y| ~ 1e300, where (y / k) ** 2 on a Python
     # float raises OverflowError; the scalar forms pass numpy floats instead.

@@ -13,8 +13,10 @@ from faplab.special import (
     digamma,
     log_beta,
     log_gamma,
+    log_gamma_ratio,
     w2,
 )
+from faplab.capacity import constraint_constant
 from faplab.verify import _check_w2_golden
 
 # Independent oracles ------------------------------------------------------
@@ -184,6 +186,44 @@ def test_w2_integer_offset_is_the_digamma_difference():
     assert passed, detail
 
 
+# psi(t) - psi(t - 1/2) by mpmath, at 40 digits past those of t's integer part.
+@pytest.mark.parametrize(
+    "t, value",
+    [
+        (40.0, 0.01273833679781207317),
+        (40.5, 0.01257811889839045847515),
+        (55.5, 0.0091322296977071771652),
+        (1e3, 0.00050037525014068752345),
+        (1e10, 5.000000000375e-11),
+        (1e13, 5.000000000000375e-14),
+        (1e16, 5.000000000000000375e-17),
+        (1e100, 4.9999999999999999205e-101),
+    ],
+)
+def test_w2_half_offset_at_large_arguments(t, value):
+    # From t - 1/2 = 40 w2 differences psi's asymptotic series term by term;
+    # the digamma difference it replaces is off by 1.8e-5 at 1e10 and 5e-3 at 1e13.
+    assert w2(t, 0.5) == pytest.approx(value, rel=1e-14 if t < 100.0 else 1e-15, abs=0.0)
+
+
+# psi(t) - psi(t - a) by mpmath at 60 digits.
+@pytest.mark.parametrize(
+    "t, a, value",
+    [
+        (40.0, 39.5, 5.639837400056266605351),
+        (1e3, 999.5, 8.870765221670235531491),
+        (79.5, 39.5, 0.6931271545254993516068),
+        (41.5, 1.5, 0.03726947692308181649984),
+    ],
+)
+def test_w2_takes_the_series_only_when_both_arguments_are_large(t, a, value):
+    # The switch is on the smaller argument t - a: at t - a = 1/2 the series
+    # would be 3 % off.  The constraint constant of p = 79 is w2(40, 39.5).
+    assert w2(t, a) == pytest.approx(value, rel=1e-14 if t - a < 100.0 else 1e-15, abs=0.0)
+    if a == 39.5 and t == 40.0:
+        assert constraint_constant(79) == pytest.approx(value, rel=1e-15, abs=0.0)
+
+
 def test_w2_zero_offset():
     assert w2(3.0, 0.0) == 0.0
 
@@ -193,6 +233,35 @@ def test_w2_domain():
         w2(1.0, 1.0)
     with pytest.raises(ValueError):
         w2(0.5, 2.0)
+
+
+# ln Gamma(t - a) - ln Gamma(t) by mpmath at 60 digits.
+@pytest.mark.parametrize(
+    "t, a, value",
+    [
+        (40.5, 0.5, -1.841314808421924926997),
+        (41.5, 1.5, -5.542616782534418383161),
+        (1e3, 0.5, -3.453502514444177896337),
+        (1e10, 1.5, -34.53877639472318526026),
+        (1e15, 0.5, -17.26938819745534225513),
+        (4e15, 0.5, -17.9625353780152878458),
+    ],
+)
+def test_log_gamma_ratio_at_large_arguments(t, a, value):
+    # Once t - a >= 40, Stirling's series differenced term by term; the
+    # log-gamma difference is off by 3e-3 at t = 1e12 and whole nats at 1e15.
+    assert log_gamma_ratio(t, a) == pytest.approx(value, rel=2e-15, abs=0.0)
+
+
+def test_log_gamma_ratio_below_the_series_and_at_integer_offsets():
+    for t in (0.7, 3.3, 12.0, 40.4):
+        assert log_gamma_ratio(t, 0.5) == log_gamma(t - 0.5) - log_gamma(t)
+    for t in (1.2, 7.0, 1e6, 1e300):
+        assert log_gamma_ratio(t, 1.0) == -math.log(t - 1.0)
+        expected = -(math.log(t + 1.0) + math.log(t) + math.log(t - 1.0))
+        assert log_gamma_ratio(t + 2.0, 3.0) == pytest.approx(expected, rel=1e-15)
+    with pytest.raises(ValueError):
+        log_gamma_ratio(1.0, 1.0)
 
 
 def test_log_beta_matches_gamma_ratio():
