@@ -308,8 +308,8 @@ def _norms_or_law(obj, p: Optional[int]):
 
 
 def _ratio(q: np.ndarray) -> np.ndarray:
-    """q / (1 + q) to full relative precision, 0 at q = 0 and 1 at q = inf."""
-    with np.errstate(divide="ignore"):
+    """q / (1 + q) to full relative precision; 1 at q = inf, and 0 where 1/q overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
         return 1.0 / (1.0 + 1.0 / q)
 
 
@@ -338,6 +338,11 @@ def _log_moment_and_slope(obj, law, k: float, slope: bool = True):
     if isinstance(obj, MultivariateCauchy) and radial:
         L = _bivariate_cauchy_log_moment(gamma, k)
         return L, _bivariate_cauchy_slope(gamma, k, L)
+    if isinstance(obj, MaxentProfile) and k == obj.k:
+        # At the profile's own scale q is beta-prime(a, mu - a), a = p/2:
+        # E ln(1 + q) = w2(mu, a), and q / (1 + q) ~ Beta(a, mu - a) has mean a / mu.
+        a = 0.5 * obj.p
+        return w2(obj.mu, a), a / obj.mu
     if not slope:
         return integrate(lambda f, r: f * np.log1p((r / k) ** 2), k), None
 
@@ -353,9 +358,10 @@ def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
     """E ln(1 + ||Y/k||^2).
 
     Closed forms for a univariate Cauchy law, ln(((gamma + k)^2 + x0^2) / k^2),
-    and for a central isotropic bivariate Cauchy law; the quadrature route of
-    ``_law`` for every other law with a density; the mean over samples, a
-    point mass counting as one sample.
+    for a central isotropic bivariate Cauchy law, and for a max-entropy
+    profile at its own scale, w2(mu, p/2); the quadrature route of ``_law``
+    for every other law with a density; the mean over samples, a point mass
+    counting as one sample.
     """
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
@@ -363,7 +369,9 @@ def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
 
 
 _LN10 = math.log(10.0)
-_DISPERSION_MAX_STEPS = 100
+_SQRT_EPS = 2.0**-26
+# A decade a step crosses the float range (632 decades) with steps to spare.
+_DISPERSION_MAX_STEPS = 700
 
 
 def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
@@ -373,16 +381,21 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     scale s (heavy tails make moment-based initial guesses useless): the
     law's own scale, or the median sample norm.  g is decreasing and convex,
     as each ln(1 + q e^(-2u)) is, with g'(u) = -2 D for the slope D of
-    ``_log_moment_and_slope``, which gives L and D from one evaluation; the
-    step is u += (L - c) / (2 D).  From right of the root (g < 0) a step
-    lands at or left of it, by convexity; from the left the iterates climb
-    to the root without overshooting, each shrinking g.  The stopping rule
-    applies on the left only: the solve ends at the first step that does not
-    shrink g >= 0 (in floating point L is flat across steps below its
-    rounding), keeping the nearer of the two points where the step crossed
-    the root in rounding.  No step moves k by more than a decade.  Where D
-    vanishes, every sample sits at q = 0 and there is no root; a log-moment
-    that is not finite is an error, never a stop.
+    ``_log_moment_and_slope``, which gives L and D from one evaluation (in
+    closed form for a max-entropy profile at its own scale, where a solve
+    starts); the step is u += (L - c) / (2 D).  From right of the root
+    (g < 0) a step lands left of it, by convexity; from the left the iterates
+    climb to the root without overshooting.  No step moves k by more than a
+    decade.
+
+    The solve returns the landing point of the first step shorter than
+    sqrt(eps) = 2^-26 in u, without evaluating it.  A step delta lands within
+    (g'' / 2|g'|) delta^2 of the root, and g'' / 2|g'| = E[q/(1+q)^2] / E[q/(1+q)]
+    is at most 1 for every law, samples included, so the landing point is
+    the root to rounding.  Where D vanishes, every sample sits at q = 0 and
+    there is no root; a log-moment that is not finite is an error.  Finite
+    samples whose norms pass the float range are solved at half scale: the
+    dispersion is homogeneous of degree 1.
     """
     obj = dist_or_samples
     if isinstance(obj, Degenerate):
@@ -393,35 +406,28 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     c = spec.c
     if not c > 0.0:
         raise ValueError(f"constraint value {c} is outside the attainable range (0, inf)")
-    obj, law = _norms_or_law(obj, spec.p)
+    with np.errstate(over="ignore"):  # norms past the float range are handled below
+        obj, law = _norms_or_law(obj, spec.p)
     if law is not None:
         k = law[1]
     elif np.isfinite(obj).all():
         k = float(np.median(obj)) or 1.0
+    elif np.isfinite(dist_or_samples).all():
+        # Halving is exact, and brings every row norm back into range.
+        return 2.0 * dispersion_of(0.5 * np.asarray(dist_or_samples, dtype=float), spec)
     else:
         raise ValueError("dispersion of samples needs finite norms (got NaN or inf)")
-    L, D = _log_moment_and_slope(obj, law, k)
-    g = L - c
     for _ in range(_DISPERSION_MAX_STEPS):
-        if not math.isfinite(g):
+        L, D = _log_moment_and_slope(obj, law, k)
+        if not math.isfinite(L):
             raise RuntimeError(f"the log-moment is not finite at k = {k:.6g}")
         if not D > 0.0:
             raise RuntimeError("no dispersion root: the log-moment vanishes at every k")
-        nxt = k * math.exp(min(max(g / (2.0 * D), -_LN10), _LN10))
-        if nxt == k:
-            break
-        L, D_nxt = _log_moment_and_slope(obj, law, nxt)
-        g_nxt = L - c
-        if g >= 0.0 and math.isfinite(g_nxt) and not 0.0 <= g_nxt < g:
-            # Left of the root, g stopped shrinking or crossed zero in
-            # rounding: keep the nearer of the two.
-            if abs(g_nxt) < g:
-                k = nxt
-            break
-        k, g, D = nxt, g_nxt, D_nxt
-    else:
-        raise RuntimeError("Newton's method did not converge on the dispersion")
-    return k
+        step = min(max((L - c) / (2.0 * D), -_LN10), _LN10)
+        k *= math.exp(step)
+        if abs(step) < _SQRT_EPS:
+            return k
+    raise RuntimeError("Newton's method did not converge on the dispersion")
 
 
 def feasibility(

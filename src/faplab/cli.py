@@ -190,15 +190,15 @@ def _cmd_density(args, argv) -> int:
     g, v, x = _channel_from_args(args)
     from .fap import density_grid, write_density_grid_csv
 
-    cols, rows = density_grid(g, v, x, args.ymin, args.ymax, args.points)
+    cols, grid = density_grid(g, v, x, args.ymin, args.ymax, args.points)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         path = out / "density.csv"
-        write_density_grid_csv(path, cols, rows)
+        write_density_grid_csv(path, cols, grid)
     else:
         path = out / "density.json"
-        payload = [dict(zip(cols, (float(c) for c in row))) for row in rows]
+        payload = [dict(zip(cols, row)) for row in grid.tolist()]
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

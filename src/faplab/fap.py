@@ -250,17 +250,17 @@ def density_grid(
 ):
     """Evaluate the arrival density on a regular transverse grid.
 
-    Returns (columns, rows): the column names y1..yp, density and a list of
-    row tuples, one per grid node, row-major over (y1, ..., yp).
+    Returns (columns, grid): the column names y1..yp, density and an
+    (n, p + 1) float array, one row per grid node, row-major over
+    (y1, ..., yp), with the density in the last column.
     """
     p = g.n_transverse
     if x is None:
         x = np.zeros(p)
     axis = np.linspace(y_min, y_max, points)
-    ys = [c.ravel() for c in np.meshgrid(*[axis] * p, indexing="ij")]
-    density = fap_density(g, v, x, np.column_stack(ys))
+    nodes = np.stack(np.meshgrid(*[axis] * p, indexing="ij"), axis=-1).reshape(-1, p)
     columns = tuple(f"y{i + 1}" for i in range(p)) + ("density",)
-    return columns, list(zip(*(c.tolist() for c in ys), density.tolist()))
+    return columns, np.column_stack([nodes, fap_density(g, v, x, nodes)])
 
 
 def write_density_grid_csv(path, columns: Sequence[str], rows) -> None:
@@ -268,5 +268,4 @@ def write_density_grid_csv(path, columns: Sequence[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(float(c)) for c in row])
+        writer.writerows([repr(c) for c in row] for row in np.asarray(rows, dtype=float).tolist())

@@ -188,15 +188,19 @@ def test_dispersion_of_profile_at_the_pole_is_a_quadrature_error():
     [
         (MaxentProfile(1, 1.1, 1.7, SPEC1.c), SPEC1),
         (MaxentProfile(2, 0.9, 2.2, SPEC2.c), SPEC2),
+        (maxent_profile(SPEC1, 1.3), SPEC1),
+        (maxent_profile(SPEC2, 0.7), SPEC2),
         (UnivariateCauchy(0.0, 1.8), SPEC1),
         (sample_univariate(UnivariateCauchy(0.0, 1.8), 100_000, seed=3), SPEC1),
     ],
-    ids=["profile_1d", "profile_2d", "cauchy", "cauchy_samples"],
+    ids=["profile_1d", "profile_2d", "cauchy_exponent_1d", "cauchy_exponent_2d", "cauchy",
+         "cauchy_samples"],
 )
 def test_dispersion_solve_work(law, spec, monkeypatch):
     # Newton steps in ln k from the robust scale s, each on one joint
-    # (log-moment, slope) evaluation: at most 8 per solve, and for a profile
-    # one tanhsinh call each.  The closed forms and the samples need none.
+    # (log-moment, slope) evaluation: at most 8 per solve.  A profile's first
+    # evaluation, at its own scale, is in closed form, and each later one is
+    # one tanhsinh call.  The Cauchy closed forms and the samples need none.
     import scipy.integrate
 
     calls = {"joint": 0, "tanhsinh": 0}
@@ -210,12 +214,44 @@ def test_dispersion_solve_work(law, spec, monkeypatch):
     monkeypatch.setattr(capacity_module, "_log_moment_and_slope",
                         counted("joint", capacity_module._log_moment_and_slope))
     monkeypatch.setattr(scipy.integrate, "tanhsinh", counted("tanhsinh", scipy.integrate.tanhsinh))
-    dispersion_of(law, spec)
+    d = dispersion_of(law, spec)
     assert 0 < calls["joint"] <= 8
     if isinstance(law, MaxentProfile):
-        assert calls["tanhsinh"] == calls["joint"]
+        assert calls["tanhsinh"] == calls["joint"] - 1
+        if law.mu == 0.5 * (1 + law.p):
+            # The Cauchy exponent meets the constraint at the profile's own
+            # scale, w2(mu, p/2) = c: the closed-form first step is 0.
+            assert d == law.k and calls["tanhsinh"] == 0
     else:
         assert calls["tanhsinh"] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([1, 2]),
+    t=st.floats(min_value=0.0, max_value=1.0),
+    k=st.floats(min_value=0.1, max_value=10.0),
+)
+def test_profile_log_moment_and_slope_at_its_own_scale_match_quadrature(p, t, k):
+    # q = ||Y/k||^2 is beta-prime(p/2, mu - p/2) at the profile's own scale:
+    # L = w2(mu, p/2) and D = (p/2) / mu, against the quadrature rows.  mu runs
+    # to 6 from p/2 + 0.05 on the line and from 1.08 in the plane, where the
+    # radial quadrature falls short of 1e-12 nearer the pole (1.7e-11 off at
+    # mu = 1.06, unconverged at 1.05).
+    lo = 0.5 * p + (0.05 if p == 1 else 0.08)
+    mu = lo + t * (6.0 - lo)
+    prof = MaxentProfile(p, k, mu, ConstraintSpec(p).c)
+    law = capacity_module._law(prof)
+    L, D = capacity_module._log_moment_and_slope(prof, law, k)
+
+    def rows(f, r):
+        q = (r / k) ** 2
+        return np.stack([f * np.log1p(q), f * q / (1.0 + q)])
+
+    by_quad = law[3](rows, k, rows=2)
+    assert L == pytest.approx(by_quad[0], rel=1e-12)
+    assert D == pytest.approx(by_quad[1], rel=1e-12)
+    assert log_moment(prof, k) == L
 
 
 @pytest.mark.parametrize("p, mu", [(1, 3.5), (2, 4.0)])
@@ -289,6 +325,20 @@ def test_dispersion_of_samples_with_a_far_outlier():
     y2 = np.column_stack([y, np.zeros_like(y)])
     d2 = dispersion_of(y2, SPEC2)
     assert log_moment(y2, d2) == pytest.approx(SPEC2.c, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dispersion_of_samples_whose_norm_overflows():
+    # The row [1.5e308, 1.5e308] has finite coordinates and a norm past the
+    # float range.  The dispersion is homogeneous of degree 1, so the solve runs
+    # on y / 2 and doubles the root.  The root of the mean of
+    # ln(1 + |y|^2 / k^2) = 2 is by mpmath at 50 digits.
+    y = np.ones((100, 2))
+    y[0] = 1.5e308
+    assert dispersion_of(y, SPEC2) == pytest.approx(7.8914728475204924118e264, rel=1e-14)
+    y[1, 0] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        dispersion_of(y, SPEC2)
 
 
 def test_dispersion_of_a_non_finite_log_moment_is_an_error(monkeypatch):

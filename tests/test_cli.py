@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import faplab
@@ -190,6 +191,49 @@ def test_density_json_format(tmp_path):
     payload = json.loads((out / "density.json").read_text())
     assert len(payload) == 5
     assert set(payload[0]) == {"y1", "density"}
+
+
+@pytest.mark.parametrize(
+    "flags, drift, x",
+    [
+        (["-n", "2"], (0.0, 0.0), (0.25,)),
+        (["-n", "2", "--vx", "0.8", "--vy", "-0.5"], (0.8, -0.5), (0.25,)),
+        (["-n", "3"], (0.0, 0.0, 0.0), (0.25, -0.4)),
+        (["-n", "3", "--vx", "0.3", "--vy", "0.2", "--vz", "-0.5"], (0.3, 0.2, -0.5), (0.25, -0.4)),
+    ],
+    ids=["2d_zero", "2d_drift", "3d_zero", "3d_drift"],
+)
+def test_density_files_match_the_per_node_rendering(tmp_path, flags, drift, x):
+    # The files as rendered from one (y1[, y2], density) tuple per grid node,
+    # the form the grid took before it became one array: byte for byte.
+    from faplab.fap import ChannelGeometry, DriftVector, fap_density
+
+    dim = int(flags[1])
+    points = 101 if dim == 2 else 21
+    g, v = ChannelGeometry(dim, 1.3, 0.7), DriftVector(*drift)
+    axis = np.linspace(-6.0, 4.0, points)
+    ys = [c.ravel() for c in np.meshgrid(*[axis] * (dim - 1), indexing="ij")]
+    density = fap_density(g, v, x, np.column_stack(ys))
+    rows = list(zip(*(c.tolist() for c in ys), density.tolist()))
+    cols = tuple(f"y{i + 1}" for i in range(dim - 1)) + ("density",)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for row in rows:
+            writer.writerow([repr(float(c)) for c in row])
+    with open(tmp_path / "want.json", "w") as fh:
+        json.dump([dict(zip(cols, (float(c) for c in row))) for row in rows], fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+
+    coords = ["--x1", "0.25"] + (["--x2", "-0.4"] if dim == 3 else [])
+    common = ["density", *flags, *coords, "--lambda", "1.3", "--sigma2", "0.7",
+              "--ymin", "-6", "--ymax", "4", "--points", str(points)]
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert run(common + ["--format", fmt, "--out", str(out)]) == EXIT_OK
+        got = (out / f"density.{fmt}").read_bytes()
+        assert got == (tmp_path / f"want.{fmt}").read_bytes()
 
 
 def test_simulate_outputs_and_manifest(tmp_path):

@@ -259,9 +259,9 @@ def test_arrival_probability_matches_hitting_law():
 
 def test_density_grid_csv_roundtrip(tmp_path):
     g = ChannelGeometry(2, 1.0, 1.0)
-    cols, rows = density_grid(g, DriftVector(0.0, -0.5), points=11, y_min=-2, y_max=2)
+    cols, grid = density_grid(g, DriftVector(0.0, -0.5), points=11, y_min=-2, y_max=2)
     path = tmp_path / "density.csv"
-    write_density_grid_csv(path, cols, rows)
+    write_density_grid_csv(path, cols, grid)
     with open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -269,20 +269,19 @@ def test_density_grid_csv_roundtrip(tmp_path):
     assert header == ["y1", "density"]
     assert len(body) == 11
     assert float(body[5][0]) == 0.0
-    assert float(body[5][1]) == pytest.approx(rows[5][1], rel=1e-15)
+    assert float(body[5][1]) == pytest.approx(grid[5, 1], rel=1e-15)
 
 
 def test_density_grid_3d_row_major():
     g = ChannelGeometry(3, 1.0, 1.0)
-    cols, rows = density_grid(g, DriftVector.zero(3), points=3, y_min=-1, y_max=1)
+    cols, grid = density_grid(g, DriftVector.zero(3), points=3, y_min=-1, y_max=1)
     assert cols == ("y1", "y2", "density")
-    assert len(rows) == 9
-    assert rows[0][:2] == (-1.0, -1.0)
-    assert rows[1][:2] == (-1.0, 0.0)  # inner index runs over y2
-    _, rows = density_grid(g, DriftVector(0.3, 0.2, -0.5), points=7, y_min=-2.5, y_max=4.0)
+    assert grid.shape == (9, 3) and grid.dtype == np.float64
+    assert grid[0, :2].tolist() == [-1.0, -1.0]
+    assert grid[1, :2].tolist() == [-1.0, 0.0]  # inner index runs over y2
+    _, grid = density_grid(g, DriftVector(0.3, 0.2, -0.5), points=7, y_min=-2.5, y_max=4.0)
     axis = np.linspace(-2.5, 4.0, 7)
-    nodes = np.array([row[:2] for row in rows])
-    assert np.array_equal(nodes, np.column_stack([np.repeat(axis, 7), np.tile(axis, 7)]))
+    assert np.array_equal(grid[:, :2], np.column_stack([np.repeat(axis, 7), np.tile(axis, 7)]))
 
 
 @pytest.mark.parametrize(
@@ -298,8 +297,8 @@ def test_density_grid_zero_drift_matches_pointwise(dim, points, drift):
     g = ChannelGeometry(dim, 1.3, 0.7)
     v = DriftVector(*drift)
     x = np.full(dim - 1, 0.4)
-    _, rows = density_grid(g, v, x, -10.0, 10.0, points)
-    for row in rows[:: max(1, len(rows) // 97)]:
+    _, grid = density_grid(g, v, x, -10.0, 10.0, points)
+    for row in grid[:: max(1, len(grid) // 97)]:
         want = fap_pdf(g, v, FapPoint(x, row[:-1]))
         assert row[-1] == pytest.approx(want, rel=1e-15, abs=0.0)
 
@@ -315,8 +314,8 @@ def test_density_grid_zero_drift_matches_pointwise(dim, points, drift):
     ],
 )
 def test_density_grid_zero_drift_far_tails_are_zero(dim, drift):
-    _, rows = density_grid(ChannelGeometry(dim), DriftVector(*drift), None, -1e300, 1e300, 3)
-    densities = np.array([row[-1] for row in rows])
+    _, grid = density_grid(ChannelGeometry(dim), DriftVector(*drift), None, -1e300, 1e300, 3)
+    densities = grid[:, -1]
     assert np.all(np.isfinite(densities))
     assert np.count_nonzero(densities) == 1  # only the node at the origin
 
