@@ -8,20 +8,20 @@ and a prescribed ceiling A; under that constraint the arrival-position
 channel capacities have closed forms, verified here by constrained
 maximum-entropy solving and sample-based entropy estimation.
 
-Closed forms are the production path: the Cauchy log-moments and the
+Closed forms are the production path: the 1-D Cauchy log-moment and the
 max-entropy constraint value w2(mu, p/2) are elementary or digamma
 functions, so dispersions and max-entropy exponents are root-solves over
 them, both by Newton's method on a decreasing convex function, whose
 iterates climb to the root from its left without overshooting: dispersions
 in ln k, with the log-moment and its slope from one evaluation per step (see
-``dispersion_of``), exponents in mu (see ``maxent_profile``).  At p = 2 (the
-3D channel's planar output) the exponent and the profile's normalizer are
-elementary, so the p = 2 max-entropy profile loads no scipy; at p = 1 it loads
-``scipy.special`` only, and the routes below load more.  What has no
-closed form (the log-moment of a max-entropy profile at a foreign scale,
-quadrature entropies, the normalization of a custom density) goes through
-one quadrature route, ``_law``, which also serves as the independent
-cross-check of the closed forms.
+``dispersion_of``), exponents in mu (see ``maxent_profile``).  Max-entropy
+profiles and the central isotropic bivariate Cauchy law take theirs from
+one beta-prime rule (see ``_beta_prime_moments``).  At p = 2 the exponent
+and the profile's normalizer are elementary, so the p = 2 max-entropy
+profile loads no scipy; at p = 1 it loads ``scipy.special`` only.  The rest
+(quadrature entropies, off-centre and anisotropic laws, custom densities)
+goes through one quadrature route, ``_law``, which also serves as the
+independent cross-check of the closed forms and the rule.
 """
 
 from __future__ import annotations
@@ -244,67 +244,44 @@ def _law(obj):
     return dim, scale, radial, integrate
 
 
-def _bivariate_cauchy_log_moment(gamma: float, k: float) -> float:
-    """E ln(1 + ||Y/k||^2) for the central isotropic bivariate Cauchy law of scale gamma.
+def _sample_norms(y: np.ndarray, p: Optional[int]):
+    """(norms of y / unit, unit): |y| or row norms, of dimension p if given.
 
-    (2 gamma / a) atan(a / gamma) with a = sqrt(k^2 - gamma^2) above gamma,
-    (2 gamma / b) artanh(b / gamma) with b = sqrt(gamma^2 - k^2) below it, and
-    2 at k = gamma.  Factored differences and artanh(b / gamma) written as
-    log1p((gamma - k + b) / k) avoid cancellation near k = gamma and k << gamma.
+    unit is 1, or the power of 2 that brings finite rows' norms back into the
+    float range; halving is exact, so L(y, k) = L(y / unit, k / unit).
     """
-    if k > gamma:
-        a = math.sqrt((k - gamma) * (k + gamma))
-        return 2.0 * gamma / a * math.atan(a / gamma)
-    if k < gamma:
-        b = math.sqrt((gamma - k) * (gamma + k))
-        return 2.0 * gamma / b * math.log1p((gamma - k + b) / k)
-    return 2.0
-
-
-def _sample_norms(y: np.ndarray, p: Optional[int]) -> np.ndarray:
-    """|y| for scalar samples, row norms for vector samples, of dimension p if given."""
     dim = 1 if y.ndim == 1 else y.shape[1]
     if p is not None and dim != p:
         raise ValueError(f"input has dimension {dim}, expected {p}")
     if y.ndim == 1:
-        return np.abs(y)
+        return np.abs(y), 1.0
     # Squares of coordinates above about 1.3e154 overflow; hypot does not.
     with np.errstate(over="ignore"):
         mags = np.linalg.norm(y, axis=1)
-    over = np.isinf(mags)
-    if over.any():
-        mags[over] = np.hypot.reduce(y[over], axis=1)
-    return mags
-
-
-def _bivariate_cauchy_slope(gamma: float, k: float, L: float) -> float:
-    """E[q / (1 + q)], q = ||Y/k||^2, for the central isotropic bivariate Cauchy law.
-
-    1 - k^2 (1 - L/2) / (k^2 - gamma^2) for the log-moment L at k.  Both
-    factors vanish at k = gamma, so within 5 % of gamma^2 in k^2 the series
-    2/3 + 2 sum_j (-e)^j / ((2j + 1)(2j + 3)), e = k^2 / gamma^2 - 1, is
-    summed instead (to j = 12, past the last term that counts).
-    """
-    e = (k / gamma - 1.0) * (k / gamma + 1.0)
-    if abs(e) < 0.05:
-        return 2.0 / 3.0 + 2.0 * sum((-e) ** j / ((2 * j + 1) * (2 * j + 3)) for j in range(1, 13))
-    return 1.0 - (1.0 - 0.5 * L) / ((1.0 - gamma / k) * (1.0 + gamma / k))
+        over = np.isinf(mags)
+        if over.any():
+            mags[over] = np.hypot.reduce(y[over], axis=1)
+            if np.isinf(mags[over]).any() and np.isfinite(y).all():
+                mags, unit = _sample_norms(0.5 * y, p)
+                return mags, 2.0 * unit
+    return mags, 1.0
 
 
 def _norms_or_law(obj, p: Optional[int]):
-    """(obj, _law(obj)) for a law with a density; (sample norms, None) otherwise.
+    """(obj, _law(obj), 1) for a law with a density; (norms, None, unit) otherwise.
 
-    A point mass counts as one sample.  The dimension is checked against p
-    if given.
+    The sample norms and their unit are those of ``_sample_norms``; a point
+    mass counts as one sample.  The dimension is checked against p if given.
     """
     law = _law(obj)
     if law is None:
         y = (np.atleast_2d(obj.location) if isinstance(obj, Degenerate)
              else np.asarray(obj, dtype=float))
-        return _sample_norms(y, p), None
+        norms, unit = _sample_norms(y, p)
+        return norms, None, unit
     if p is not None and law[0] != p:
         raise ValueError(f"input has dimension {law[0]}, expected {p}")
-    return obj, law
+    return obj, law, 1.0
 
 
 def _ratio(q: np.ndarray) -> np.ndarray:
@@ -313,12 +290,40 @@ def _ratio(q: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + 1.0 / q)
 
 
-def _log_moment_and_slope(obj, law, k: float, slope: bool = True):
+def _beta_prime_moments(a: float, b: float, ln_s: float):
+    """(E ln(1 + sQ), E[sQ / (1 + sQ)]) for Q ~ beta-prime(a, b).
+
+    w2(a + b, a) and the Beta(a, b) mean a / (a + b) at s = 1; elsewhere a
+    trapezoid rule of step 0.2 in t = ln Q, whose integrands are analytic in
+    |Im t| < pi/2, so it converges geometrically, with weights normalised by
+    their own sum.  Nodes run down from T = 40 + max(ln(a + b), -ln s) until
+    e^(a t) is below e^-40 of the mass; above T the weight is e^(-b t) and the
+    integrands are t + ln s and 1 to rounding, summed as geometric series.
+    """
+    if ln_s == 0.0:
+        return w2(a + b, a), a / (a + b)
+    h = 0.2
+    top = 40.0 + max(math.log(a + b), -ln_s)
+    t = top - h * np.arange(1, math.ceil((top + max(math.log(b), 0.0) + 40.0 / a) / h) + 1)
+    # The three terms of the log-weight share a sign, so none cancels.
+    w = np.exp(a * np.minimum(t, 0.0) - b * np.maximum(t, 0.0)
+               - (a + b) * np.log1p(np.exp(-np.abs(t))))
+    x = t + ln_s
+    with np.errstate(over="ignore"):
+        ratio = _ratio(np.exp(x))
+    r, gap = math.exp(-b * h), -math.expm1(-b * h)
+    tail = math.exp(-b * top) / gap  # the weights at top + j h, j >= 0
+    mass = w.sum() + tail
+    L = (w @ np.logaddexp(0.0, x) + tail * (top + ln_s + h * r / gap)) / mass
+    return float(L), float((w @ ratio + tail) / mass)
+
+
+def _log_moment_and_slope(obj, law, k: float):
     """(L, D) at k: L = E ln(1 + q) and its slope D = E[q / (1 + q)] = -(1/2) dL/d ln k.
 
     q = ||Y/k||^2, for (obj, law) from ``_norms_or_law``, by the routes of
     ``log_moment``; on the quadrature route L and D are the two rows of one
-    call.  With slope False, D is None and L is evaluated alone.
+    call.
     """
     if law is None:
         with np.errstate(over="ignore"):
@@ -329,22 +334,19 @@ def _log_moment_and_slope(obj, law, k: float, slope: bool = True):
             terms, big = np.log1p(q), np.isinf(q)
             terms[big] = 2.0 * (np.log(obj[big]) - math.log(k))
             L = float(np.mean(terms))
-        return L, (float(np.mean(_ratio(q))) if slope else None)
-    _, gamma, radial, integrate = law
+        return L, float(np.mean(_ratio(q)))
+    _, scale, radial, integrate = law
     if isinstance(obj, UnivariateCauchy):
-        u, v = gamma / k, obj.location / k
+        u, v = scale / k, obj.location / k
         D = (u * (u + 1.0) + v * v) / ((u + 1.0) ** 2 + v * v)
         return math.log1p(u * (u + 2.0) + v * v), D
+    # Density proportional to (1 + ||y/k0||^2)^(-mu) on R^p: ||Y/k0||^2 is
+    # beta-prime(p/2, mu - p/2).  ln s = 2 ln(k0/k) stays finite where s underflows.
+    if isinstance(obj, MaxentProfile):
+        return _beta_prime_moments(0.5 * obj.p, obj.mu - 0.5 * obj.p,
+                                   2.0 * (math.log(scale) - math.log(k)))
     if isinstance(obj, MultivariateCauchy) and radial:
-        L = _bivariate_cauchy_log_moment(gamma, k)
-        return L, _bivariate_cauchy_slope(gamma, k, L)
-    if isinstance(obj, MaxentProfile) and k == obj.k:
-        # At the profile's own scale q is beta-prime(a, mu - a), a = p/2:
-        # E ln(1 + q) = w2(mu, a), and q / (1 + q) ~ Beta(a, mu - a) has mean a / mu.
-        a = 0.5 * obj.p
-        return w2(obj.mu, a), a / obj.mu
-    if not slope:
-        return integrate(lambda f, r: f * np.log1p((r / k) ** 2), k), None
+        return _beta_prime_moments(1.0, 0.5, 2.0 * (math.log(scale) - math.log(k)))
 
     def rows(f, r):
         q = (r / k) ** 2
@@ -357,15 +359,16 @@ def _log_moment_and_slope(obj, law, k: float, slope: bool = True):
 def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
     """E ln(1 + ||Y/k||^2).
 
-    Closed forms for a univariate Cauchy law, ln(((gamma + k)^2 + x0^2) / k^2),
-    for a central isotropic bivariate Cauchy law, and for a max-entropy
-    profile at its own scale, w2(mu, p/2); the quadrature route of ``_law``
-    for every other law with a density; the mean over samples, a point mass
-    counting as one sample.
+    A closed form for a univariate Cauchy law, ln(((gamma + k)^2 + x0^2) / k^2);
+    the beta-prime rule of ``_beta_prime_moments`` for a max-entropy profile
+    and a central isotropic bivariate Cauchy law; the quadrature route of
+    ``_law`` for every other law with a density; the mean over samples, a
+    point mass counting as one sample.
     """
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
-    return _log_moment_and_slope(*_norms_or_law(dist_or_samples, p), k, slope=False)[0]
+    obj, law, unit = _norms_or_law(dist_or_samples, p)
+    return _log_moment_and_slope(obj, law, k / unit)[0]
 
 
 _LN10 = math.log(10.0)
@@ -381,20 +384,19 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     scale s (heavy tails make moment-based initial guesses useless): the
     law's own scale, or the median sample norm.  g is decreasing and convex,
     as each ln(1 + q e^(-2u)) is, with g'(u) = -2 D for the slope D of
-    ``_log_moment_and_slope``, which gives L and D from one evaluation (in
-    closed form for a max-entropy profile at its own scale, where a solve
-    starts); the step is u += (L - c) / (2 D).  From right of the root
-    (g < 0) a step lands left of it, by convexity; from the left the iterates
-    climb to the root without overshooting.  No step moves k by more than a
-    decade.
+    ``_log_moment_and_slope``, which gives L and D from one evaluation; the
+    step is u += (L - c) / (2 D).  From right of the root (g < 0) a step
+    lands left of it, by convexity; from the left the iterates climb to the
+    root without overshooting.  No step moves k by more than a decade.
 
     The solve returns the landing point of the first step shorter than
     sqrt(eps) = 2^-26 in u, without evaluating it.  A step delta lands within
     (g'' / 2|g'|) delta^2 of the root, and g'' / 2|g'| = E[q/(1+q)^2] / E[q/(1+q)]
     is at most 1 for every law, samples included, so the landing point is
     the root to rounding.  Where D vanishes, every sample sits at q = 0 and
-    there is no root; a log-moment that is not finite is an error.  Finite
-    samples whose norms pass the float range are solved at half scale: the
+    there is no root; a log-moment that is not finite, or a root outside the
+    float range (a profile too near its pole), is an error.  Finite samples
+    whose norms pass the float range are solved at half scale: the
     dispersion is homogeneous of degree 1.
     """
     obj = dist_or_samples
@@ -406,15 +408,11 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     c = spec.c
     if not c > 0.0:
         raise ValueError(f"constraint value {c} is outside the attainable range (0, inf)")
-    with np.errstate(over="ignore"):  # norms past the float range are handled below
-        obj, law = _norms_or_law(obj, spec.p)
+    obj, law, unit = _norms_or_law(obj, spec.p)
     if law is not None:
         k = law[1]
     elif np.isfinite(obj).all():
         k = float(np.median(obj)) or 1.0
-    elif np.isfinite(dist_or_samples).all():
-        # Halving is exact, and brings every row norm back into range.
-        return 2.0 * dispersion_of(0.5 * np.asarray(dist_or_samples, dtype=float), spec)
     else:
         raise ValueError("dispersion of samples needs finite norms (got NaN or inf)")
     for _ in range(_DISPERSION_MAX_STEPS):
@@ -425,8 +423,10 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
             raise RuntimeError("no dispersion root: the log-moment vanishes at every k")
         step = min(max((L - c) / (2.0 * D), -_LN10), _LN10)
         k *= math.exp(step)
+        if not 0.0 < k < math.inf:
+            raise RuntimeError("the dispersion root lies outside the float range")
         if abs(step) < _SQRT_EPS:
-            return k
+            return unit * k
     raise RuntimeError("Newton's method did not converge on the dispersion")
 
 

@@ -81,7 +81,6 @@ class SimConfig:
     n_particles: int = 100_000
     max_steps: int = 10_000_000
     seed: int = 42
-    crossing_rule: str = "linear_interpolation"
     stepper: str = "block_bridge"
 
     def __post_init__(self) -> None:
@@ -92,8 +91,6 @@ class SimConfig:
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
             object.__setattr__(self, name, int(value))  # keeps to_dict() JSON-serializable
-        if self.crossing_rule != "linear_interpolation":
-            raise ValueError(f"unknown crossing rule: {self.crossing_rule}")
         if self.stepper not in ("block_bridge", "per_step"):
             raise ValueError(f"unknown stepper: {self.stepper}")
         if len(self.drift) != self.geometry.dimension:
@@ -109,7 +106,7 @@ class SimConfig:
             "n_particles": self.n_particles,
             "max_steps": self.max_steps,
             "seed": self.seed,
-            "crossing_rule": self.crossing_rule,
+            "crossing_rule": "linear_interpolation",
             "stepper": self.stepper,
         }
 

@@ -34,7 +34,6 @@ from faplab.cauchy import (
     sample_univariate,
 )
 from faplab.fap import ChannelGeometry
-from faplab.quadrature import QuadratureError
 from faplab.special import log_gamma, w2
 
 SPEC1 = ConstraintSpec(1)
@@ -178,9 +177,140 @@ def test_dispersion_of_near_pole_profile(mu, root):
     assert dispersion_of(prof, SPEC1) == pytest.approx(root, rel=1e-9)
 
 
-def test_dispersion_of_profile_at_the_pole_is_a_quadrature_error():
-    with pytest.raises(QuadratureError):
-        dispersion_of(MaxentProfile(1, 1.0, 0.51, SPEC1.c), SPEC1)
+def _beta_prime_log_moment_by_mpmath(a: float, b: float, ln_s: float) -> float:
+    """E ln(1 + sQ), Q ~ beta-prime(a, b), s = e^ln_s < 1, by mpmath at 40 digits.
+
+    With U = Q / (1 + Q) ~ Beta(a, b), E (1 + sQ)^nu is
+    B(a, b - nu) / B(a, b) 2F1(-nu, a; a + b - nu; 1 - s), whose nu-derivative
+    at 0 is the log-moment.  It is taken at 1/s, where 1 - 1/s is far from 1,
+    through 1/Q ~ beta-prime(b, a): E ln(1 + sQ) = ln s + psi(a) - psi(b)
+    + E ln(1 + 1/(sQ)).
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a, b, ls = mp.mpf(a), mp.mpf(b), mp.mpf(ln_s)
+        z = 1 - mp.exp(-ls)
+        swapped = mp.psi(0, a + b) - mp.psi(0, a) + mp.diff(
+            lambda nu: mp.hyp2f1(-nu, b, a + b - nu, z), 0)
+        return float(ls + mp.psi(0, a) - mp.psi(0, b) + swapped)
+
+
+@pytest.mark.parametrize("p, mu", [(1, 0.51), (1, 0.53), (2, 1.03), (2, 1.05)])
+def test_dispersion_of_profile_near_its_pole_meets_the_constraint(p, mu):
+    # Roots near 4.1e92, 5.5e22, 2.4e20 and 1.0e10.  The slope D is small here
+    # (0.014 at mu = 0.51), so the root is ill-conditioned and the log-moment
+    # at it is held instead, with b = mu - p/2 from the float mu.
+    spec = ConstraintSpec(p)
+    d = dispersion_of(MaxentProfile(p, 1.0, mu, spec.c), spec)
+    L = _beta_prime_log_moment_by_mpmath(0.5 * p, mu - 0.5 * p, -2.0 * math.log(d))
+    assert L == pytest.approx(spec.c, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("p, mu", [(1, 0.5001), (2, 1.001)])
+def test_dispersion_of_profile_past_the_float_range_is_a_runtime_error(p, mu):
+    spec = ConstraintSpec(p)
+    with pytest.raises(RuntimeError, match="outside the float range"):
+        dispersion_of(MaxentProfile(p, 1.0, mu, spec.c), spec)
+
+
+# (a, b, s, L, D): L = E ln(1 + sQ) and D = E[sQ / (1 + sQ)] for Q ~ beta-prime(a, b)
+# at s = e^ln(s) for the float ln(s), by mpmath at 60 digits: below s = 1 by
+# Gauss's hypergeometric function (the nu-derivative at 0 of
+# E (1 + sQ)^nu = B(a, b - nu) / B(a, b) 2F1(-nu, a; a + b - nu; 1 - s), and
+# D = 1 - b / (a + b) 2F1(1, a; a + b + 1; 1 - s)), above it by quadrature in
+# t = ln Q at 30 digits; the two routes agree within 3e-24 at s = 0.01.
+_BETA_PRIME_TABLE = [
+    (0.5, 0.001, 1e-30, 931.96449577647696979, 0.93196449577647698919),
+    (0.5, 0.001, 1e-10, 975.88662929740981124, 0.97588662929625290860),
+    (0.5, 0.001, 0.01, 994.02968632801640778, 0.99400461794556190687),
+    (0.5, 0.001, 7.0, 1000.5601036728181226, 0.99903553144092105903),
+    (0.5, 0.001, 10000.0, 1007.8224648237192897, 0.99996882598495151702),
+    (0.5, 0.01, 1e-30, 49.444871400532489504, 0.49444871400532490533),
+    (0.5, 0.01, 1e-10, 78.364840084808208666, 0.78364840083765246776),
+    (0.5, 0.01, 0.01, 94.214966066320500202, 0.94190526834332602810),
+    (0.5, 0.01, 7.0, 100.56431367356268432, 0.99049749145743849569),
+    (0.5, 0.01, 10000.0, 107.80833358304930814, 0.99969209995104770495),
+    (0.5, 0.05, 1e-30, 0.59481154332629056290, 0.029740577166314529796),
+    (0.5, 0.05, 1e-10, 5.9481154332258523859, 0.29740577162687103337),
+    (0.5, 0.05, 0.01, 14.939635672974230668, 0.74588642104952507089),
+    (0.5, 0.05, 7.0, 20.579523276243885268, 0.95537793634414030798),
+    (0.5, 0.05, 10000.0, 27.747607859401296359, 0.99853868550144025300),
+    (0.5, 0.5, 1e-30, 2.0000000000000013695e-15, 1.0000000000000001848e-15),
+    (0.5, 0.5, 1e-10, 0.000019999900000666657723, 9.9999000009999880281e-6),
+    (0.5, 0.5, 0.01, 0.19062035960864976136, 0.090909090909090927852),
+    (0.5, 0.5, 7.0, 2.5871249304519605782, 0.72570811482256822763),
+    (0.5, 0.5, 10000.0, 9.2302410336825197615, 0.99009900990099010327),
+    (0.5, 1.0, 1e-30, 3.4731923575470711683e-29, 3.4231923575470710498e-29),
+    (0.5, 1.0, 1e-10, 1.1706072646401874758e-9, 1.1206072647236080404e-9),
+    (0.5, 1.0, 0.01, 0.025139752601655178025, 0.020285880301563831075),
+    (0.5, 1.0, 7.0, 1.5256942486644165583, 0.60312089790808687263),
+    (0.5, 1.0, 10000.0, 7.8552634949719371508, 0.98448970691286920422),
+    (0.5, 3.0, 1e-30, 2.5000000000000059238e-31, 2.5000000000000059238e-31),
+    (0.5, 3.0, 1e-10, 2.4999999998124990147e-11, 2.4999999996249990160e-11),
+    (0.5, 3.0, 0.01, 0.0024823006862143041781, 0.0024653643531849242930),
+    (0.5, 3.0, 7.0, 0.68650923175342033589, 0.39685368042515227500),
+    (0.5, 3.0, 10000.0, 6.3823576662622363603, 0.97113741823390235586),
+    (0.5, 49.5, 1e-30, 1.0309278350515488346e-32, 1.0309278350515488346e-32),
+    (0.5, 49.5, 1e-10, 1.0309278350499182044e-12, 1.0309278350482904236e-12),
+    (0.5, 49.5, 0.01, 0.00010307651152820933131, 0.00010306024537887996071),
+    (0.5, 49.5, 7.0, 0.065655784382001961261, 0.060249315881770807822),
+    (0.5, 49.5, 10000.0, 3.5942686268669967662, 0.88492118893762981004),
+    (0.5, 999999.0, 1e-30, 5.0000100000200118876e-37, 5.0000100000200118876e-37),
+    (0.5, 999999.0, 1e-10, 5.0000100000199976930e-17, 5.0000100000199973180e-17),
+    (0.5, 999999.0, 0.01, 5.0000099625198154344e-9, 5.0000099250196291837e-9),
+    (0.5, 999999.0, 7.0, 3.4999886251364974128e-6, 3.4999702504733641053e-6),
+    (0.5, 999999.0, 10000.0, 0.0049631189766465760175, 0.0049268218165601924965),
+    (1.0, 0.001, 1e-30, 933.25583594055108533, 0.93325583594055110476),
+    (1.0, 0.001, 1e-10, 977.23882844845538097, 0.97723882844617928416),
+    (1.0, 0.001, 0.01, 995.40699853360917497, 0.99536060457940322795),
+    (1.0, 0.001, 7.0, 1001.9447144780749916, 0.99967588092032083123),
+    (1.0, 0.001, 10000.0, 1009.2086976598031945, 0.99999907903813783346),
+    (1.0, 0.01, 1e-30, 50.126968511652184188, 0.50126968511652185231),
+    (1.0, 0.01, 1e-10, 79.445891152808574900, 0.79445891150753165669),
+    (1.0, 0.01, 0.01, 95.514417356117585841, 0.95469108440522815968),
+    (1.0, 0.01, 7.0, 101.93404153754750674, 0.99677659743742081830),
+    (1.0, 0.01, 10000.0, 109.19402035944356790, 0.99999080506014657109),
+    (1.0, 0.05, 1e-30, 0.63506390763961015059, 0.031753195381980509292),
+    (1.0, 0.05, 1e-10, 6.3506390763225914775, 0.31753195374788278688),
+    (1.0, 0.05, 0.01, 15.949521666366706814, 0.79543038719023776165),
+    (1.0, 0.05, 7.0, 21.888440255068697670, 0.98426299787442750794),
+    (1.0, 0.05, 10000.0, 29.131020355763812271, 0.99995434033225440641),
+    (1.0, 0.5, 1e-30, 3.1415926535897949605e-15, 1.5707963267948964802e-15),
+    (1.0, 0.5, 1e-10, 0.000031415726537468709183, 0.000015707763270305130919),
+    (1.0, 0.5, 0.01, 0.29560753247495502371, 0.13919572347219950297),
+    (1.0, 0.5, 7.0, 3.5175450993126125063, 0.87353790839061561367),
+    (1.0, 0.5, 10000.0, 10.597114600198035562, 0.99957010128011811041),
+    (1.0, 1.0, 1e-30, 6.9077552789821531831e-29, 6.8077552789821529462e-29),
+    (1.0, 1.0, 1e-10, 2.3025850932243033246e-9, 2.2025850934445618734e-9),
+    (1.0, 1.0, 0.01, 0.046516870565536293192, 0.036885727843976049312),
+    (1.0, 1.0, 7.0, 2.2702285072311987982, 0.78829524879480018221),
+    (1.0, 1.0, 10000.0, 9.2112614981259962032, 0.99917879172936033713),
+    (1.0, 3.0, 1e-30, 5.0000000000000118476e-31, 5.0000000000000118476e-31),
+    (1.0, 3.0, 1e-10, 4.9999999994999980302e-11, 4.9999999989999980344e-11),
+    (1.0, 3.0, 0.01, 0.0049532207805903028385, 0.0049087498401726303005),
+    (1.0, 3.0, 7.0, 1.1455888015091317327, 0.59387226591210076563),
+    (1.0, 3.0, 10000.0, 7.7128539917958154469, 0.99778592239470072736),
+    (1.0, 49.5, 1e-30, 2.0618556701030976691e-32, 2.0618556701030976691e-32),
+    (1.0, 49.5, 1e-10, 2.0618556700987512215e-12, 2.0618556700944104728e-12),
+    (1.0, 49.5, 0.01, 0.00020614217818010618663, 0.00020609880799520373623),
+    (1.0, 49.5, 7.0, 0.12758184704978089993, 0.11411642850597416659),
+    (1.0, 49.5, 10000.0, 4.7696840755453169019, 0.97648771259731043279),
+    (1.0, 999999.0, 1e-30, 1.0000020000040023775e-36, 1.0000020000040023775e-36),
+    (1.0, 999999.0, 1e-10, 1.0000020000039995136e-16, 1.0000020000039994136e-16),
+    (1.0, 999999.0, 0.01, 1.0000019900039506618e-8, 1.0000019800039010617e-8),
+    (1.0, 999999.0, 7.0, 6.9999650004689903806e-6, 6.9999160015959585807e-6),
+    (1.0, 999999.0, 10000.0, 0.0099019618039762218256, 0.0098057903775968345367),
+]
+
+
+@pytest.mark.parametrize("a, b, s, L, D", _BETA_PRIME_TABLE)
+def test_beta_prime_rule_matches_mpmath(a, b, s, L, D):
+    # Step 0.2 in t: a step of 0.4 misses by 8.8e-12 at b = 49.5 and by 6.5e-10
+    # at b = 1e6 - 1, where light tails narrow the usable strip to |Im t| < pi/2.
+    got = capacity_module._beta_prime_moments(a, b, math.log(s))
+    assert got[0] == pytest.approx(L, rel=1e-14, abs=0.0)
+    assert got[1] == pytest.approx(D, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -198,9 +328,10 @@ def test_dispersion_of_profile_at_the_pole_is_a_quadrature_error():
 )
 def test_dispersion_solve_work(law, spec, monkeypatch):
     # Newton steps in ln k from the robust scale s, each on one joint
-    # (log-moment, slope) evaluation: at most 8 per solve.  A profile's first
-    # evaluation, at its own scale, is in closed form, and each later one is
-    # one tanhsinh call.  The Cauchy closed forms and the samples need none.
+    # (log-moment, slope) evaluation: at most 8 per solve.  No solve makes a
+    # tanhsinh call: a profile's evaluations are the beta-prime rule (in
+    # closed form at its own scale, where the solve starts), the Cauchy law's
+    # a closed form, and the samples' two means.
     import scipy.integrate
 
     calls = {"joint": 0, "tanhsinh": 0}
@@ -216,14 +347,11 @@ def test_dispersion_solve_work(law, spec, monkeypatch):
     monkeypatch.setattr(scipy.integrate, "tanhsinh", counted("tanhsinh", scipy.integrate.tanhsinh))
     d = dispersion_of(law, spec)
     assert 0 < calls["joint"] <= 8
-    if isinstance(law, MaxentProfile):
-        assert calls["tanhsinh"] == calls["joint"] - 1
-        if law.mu == 0.5 * (1 + law.p):
-            # The Cauchy exponent meets the constraint at the profile's own
-            # scale, w2(mu, p/2) = c: the closed-form first step is 0.
-            assert d == law.k and calls["tanhsinh"] == 0
-    else:
-        assert calls["tanhsinh"] == 0
+    assert calls["tanhsinh"] == 0
+    if isinstance(law, MaxentProfile) and law.mu == 0.5 * (1 + law.p):
+        # The Cauchy exponent meets the constraint at the profile's own
+        # scale, w2(mu, p/2) = c: the closed-form first step is 0.
+        assert d == law.k
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,8 +361,8 @@ def test_dispersion_solve_work(law, spec, monkeypatch):
     k=st.floats(min_value=0.1, max_value=10.0),
 )
 def test_profile_log_moment_and_slope_at_its_own_scale_match_quadrature(p, t, k):
-    # q = ||Y/k||^2 is beta-prime(p/2, mu - p/2) at the profile's own scale:
-    # L = w2(mu, p/2) and D = (p/2) / mu, against the quadrature rows.  mu runs
+    # The beta-prime rule at s = 1 is the closed form: L = w2(mu, p/2) and
+    # D = (p/2) / mu, against the quadrature rows.  mu runs
     # to 6 from p/2 + 0.05 on the line and from 1.08 in the plane, where the
     # radial quadrature falls short of 1e-12 nearer the pole (1.7e-11 off at
     # mu = 1.06, unconverged at 1.05).
@@ -287,8 +415,8 @@ def test_dispersion_of_profile_scales_with_the_profile(p, dmu, k, e):
     ids=["central", "off_center", "bivariate"],
 )
 def test_cauchy_slopes_match_quadrature(law):
-    # D = E[q / (1 + q)], q = ||Y/k||^2, in closed form against the quadrature
-    # route, across k = gamma where the bivariate form switches to its series.
+    # D = E[q / (1 + q)], q = ||Y/k||^2, in closed form on the line and by the
+    # beta-prime rule in the plane, against the quadrature route, across k = gamma.
     near = [-0.04, -0.026, -0.024, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 0.024, 0.026, 0.04]
     ks = 1.3 * np.concatenate([np.geomspace(0.1, 10.0, 9), 1.0 + np.array(near)])
     law_ = capacity_module._law(law)
@@ -339,6 +467,15 @@ def test_dispersion_of_samples_whose_norm_overflows():
     y[1, 0] = math.inf
     with pytest.raises(ValueError, match="finite"):
         dispersion_of(y, SPEC2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_moment_of_samples_whose_norm_overflows():
+    # The same halving as the dispersion: L(Y, k) = L(Y / 2, k / 2).  The mean of
+    # ln(1 + |y|^2 / k^2) is by mpmath at 50 digits.
+    y = np.ones((100, 2))
+    y[99] = 1.5e308
+    assert log_moment(y, 1e264, 2) == pytest.approx(2.0413156558025229420, rel=1e-14, abs=0.0)
 
 
 def test_dispersion_of_a_non_finite_log_moment_is_an_error(monkeypatch):

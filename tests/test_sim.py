@@ -33,8 +33,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(G2, DriftVector(0.0, 0.0), n_particles=0)
     with pytest.raises(ValueError):
-        SimConfig(G2, DriftVector(0.0, 0.0), crossing_rule="nearest_step")
-    with pytest.raises(ValueError):
         SimConfig(G2, DriftVector(0.0, 0.0, 0.0))  # drift arity mismatch
 
 
