@@ -15,13 +15,14 @@ them, both by Newton's method on a decreasing convex function, whose
 iterates climb to the root from its left without overshooting: dispersions
 in ln k, with the log-moment and its slope from one evaluation per step (see
 ``dispersion_of``), exponents in mu (see ``maxent_profile``).  Max-entropy
-profiles and the central isotropic bivariate Cauchy law take theirs from
-one beta-prime rule (see ``_beta_prime_moments``).  At p = 2 the exponent
-and the profile's normalizer are elementary, so the p = 2 max-entropy
-profile loads no scipy; at p = 1 it loads ``scipy.special`` only.  The rest
-(quadrature entropies, off-centre and anisotropic laws, custom densities)
-goes through one quadrature route, ``_law``, which also serves as the
-independent cross-check of the closed forms and the rule.
+profiles and the central isotropic bivariate Cauchy law take theirs, and
+their quadrature entropies, from one beta-prime trapezoid rule (see
+``_beta_prime_rule``).  At p = 2 the exponent and the profile's normalizer
+are elementary, so the p = 2 max-entropy profile loads no scipy; at p = 1
+it loads ``scipy.special`` only.  The rest (off-centre and anisotropic
+laws, the 1-D Cauchy law's entropy, custom densities) goes through one
+tanh-sinh quadrature route, ``_law``, which also serves as the independent
+cross-check of the closed forms and the rule.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ class MaxentProfile:
 
 
 def _law(obj):
-    """(dim, scale, radial, integrate) for a law with a density; None otherwise.
+    """(dim, scale, radial, integrate, shape) for a law with a density; None otherwise.
 
     This is the one quadrature route for laws.  integrate(h, extra=0.0) is
     the integral over R^dim of h(f(y), ||y||) for the law's density f, with
@@ -201,12 +202,16 @@ def _law(obj):
     dimension 1, radially for a law isotropic about the origin in the plane
     (radial is True), and over the full plane otherwise.  An integrand with
     structure at a second length as well (k in a log-moment) passes it as
-    extra; the substitution then uses the sum of the two lengths.  With
-    rows = m, h returns m rows of values and integrate returns the m
-    integrals from one quadrature call.
+    extra; the substitution then uses scale + min(extra, scale), as a
+    larger one squeezes the law's core.  With rows = m, h returns m rows of
+    values and integrate returns the m integrals from one quadrature call.
+
+    shape is (a, b, ln_z) for a profile or central isotropic bivariate Cauchy
+    law, density (1 + ||y/scale||^2)^(-(a + b)) / Z on R^(2a), with ln_z()
+    giving ln Z; then ||Y/scale||^2 ~ beta-prime(a, b).  None otherwise.
     """
     if isinstance(obj, UnivariateCauchy):
-        dim, center, scale, radial = 1, obj.location, obj.scale, False
+        dim, center, scale, radial, shape = 1, obj.location, obj.scale, False, None
         pdf = lambda y: pdf_univariate(obj, y)
     elif isinstance(obj, MultivariateCauchy):
         dim, center, pdf = obj.dim, obj.location, lambda y: pdf_multivariate(obj, y)
@@ -217,17 +222,21 @@ def _law(obj):
             and not np.any(obj.location)
             and np.allclose(obj.scale_matrix, s2 * np.eye(dim), rtol=1e-12, atol=0.0)
         )
+        # ln Z is read only when asked: the Cauchy constant loads scipy.special.
+        shape = (1.0, 0.5, lambda: -obj.log_norm) if radial else None
     elif isinstance(obj, MaxentProfile):
         dim, center, scale, radial, pdf = obj.p, 0.0, obj.k, obj.p == 2, obj.pdf
+        shape = 0.5 * obj.p, obj.mu - 0.5 * obj.p, lambda: obj.log_norm
     elif isinstance(obj, CustomDensity):
         dim, center, scale, radial, pdf = obj.dim, obj.center, obj.scale, False, obj.pdf
+        shape = None
     else:
         return None
-    c = np.broadcast_to(np.asarray(center, dtype=float), (dim,))
 
     def integrate(h: Callable[[np.ndarray, np.ndarray], np.ndarray], extra: float = 0.0,
                   rows: Optional[int] = None):
-        s = scale + extra
+        s = scale + min(extra, scale)
+        c = np.broadcast_to(np.asarray(center, dtype=float), (dim,))
         if dim == 1:
             return line_integral(lambda y: h(pdf(y), np.abs(y)), center=float(c[0]), scale=s,
                                  rows=rows)
@@ -241,7 +250,7 @@ def _law(obj):
             lambda y: h(pdf(y), np.hypot(y[:, 0], y[:, 1])), center=tuple(c), scale=s, rows=rows
         )
 
-    return dim, scale, radial, integrate
+    return dim, scale, radial, integrate, shape
 
 
 def _sample_norms(y: np.ndarray, p: Optional[int]):
@@ -290,32 +299,61 @@ def _ratio(q: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + 1.0 / q)
 
 
-def _beta_prime_moments(a: float, b: float, ln_s: float):
-    """(E ln(1 + sQ), E[sQ / (1 + sQ)]) for Q ~ beta-prime(a, b).
+_RULE_STEP = 0.2
 
-    w2(a + b, a) and the Beta(a, b) mean a / (a + b) at s = 1; elsewhere a
-    trapezoid rule of step 0.2 in t = ln Q, whose integrands are analytic in
-    |Im t| < pi/2, so it converges geometrically, with weights normalised by
-    their own sum.  Nodes run down from T = 40 + max(ln(a + b), -ln s) until
-    e^(a t) is below e^-40 of the mass; above T the weight is e^(-b t) and the
-    integrands are t + ln s and 1 to rounding, summed as geometric series.
+
+def _beta_prime_rule(a: float, b: float, ln_s: float):
+    """(t, w, tail, t_tail): the trapezoid rule in t = ln Q for Q ~ beta-prime(a, b).
+
+    Nodes t of step h = 0.2 carry w = e^(a t) / (1 + e^t)^(a + b), the density
+    of t times B(a, b); h w are the rule's weights.  It converges
+    geometrically: the integrands are analytic in |Im t| < pi/2.  Nodes run
+    down from T = 40 + max(ln(a + b), -ln s) until e^(a t) is below e^-40 of
+    the mass.  Past T, w is e^(-b t) to rounding and ln(1 + s e^t) is
+    t + ln s, so the nodes T + j h, j >= 0, sum as geometric series to the
+    weight tail with mean node t_tail.
     """
-    if ln_s == 0.0:
-        return w2(a + b, a), a / (a + b)
-    h = 0.2
+    h = _RULE_STEP
     top = 40.0 + max(math.log(a + b), -ln_s)
     t = top - h * np.arange(1, math.ceil((top + max(math.log(b), 0.0) + 40.0 / a) / h) + 1)
     # The three terms of the log-weight share a sign, so none cancels.
     w = np.exp(a * np.minimum(t, 0.0) - b * np.maximum(t, 0.0)
                - (a + b) * np.log1p(np.exp(-np.abs(t))))
+    r, gap = math.exp(-b * h), -math.expm1(-b * h)
+    return t, w, math.exp(-b * top) / gap, top + h * r / gap
+
+
+def _beta_prime_moments(a: float, b: float, ln_s: float):
+    """(E ln(1 + sQ), E[sQ / (1 + sQ)]) for Q ~ beta-prime(a, b).
+
+    w2(a + b, a) and a / (a + b) at s = 1; elsewhere ``_beta_prime_rule``, weights
+    normalised by their sum.
+    """
+    if ln_s == 0.0:
+        return w2(a + b, a), a / (a + b)
+    t, w, tail, t_tail = _beta_prime_rule(a, b, ln_s)
     x = t + ln_s
     with np.errstate(over="ignore"):
         ratio = _ratio(np.exp(x))
-    r, gap = math.exp(-b * h), -math.expm1(-b * h)
-    tail = math.exp(-b * top) / gap  # the weights at top + j h, j >= 0
     mass = w.sum() + tail
-    L = (w @ np.logaddexp(0.0, x) + tail * (top + ln_s + h * r / gap)) / mass
+    L = (w @ np.logaddexp(0.0, x) + tail * (t_tail + ln_s)) / mass
     return float(L), float((w @ ratio + tail) / mass)
+
+
+def _beta_prime_entropy(a: float, b: float, k0: float, ln_z: float):
+    """(h, M), entropy and mass of f(y) = (1 + ||y/k0||^2)^(-(a + b)) / Z on R^(2a).
+
+    ``_beta_prime_rule`` at s = 1, in t = ln ||y/k0||^2: f(y) dy is
+    e^c0 w(t) dt, c0 = a ln pi - ln Gamma(a) + 2a ln k0 - ln Z, and
+    -ln f = ln Z + (a + b) ln(1 + e^t).  ln Z is the law's own normaliser, so
+    M = 1 checks it; the rule does not assume it.
+    """
+    t, w, tail, t_tail = _beta_prime_rule(a, b, 0.0)
+    # Formed as a profile's ln Z forms them: the scale terms cancel to ln Z's own rounding.
+    unit = _RULE_STEP * math.exp((a * math.log(math.pi) + 2.0 * a * math.log(k0) - ln_z)
+                                 - math.lgamma(a))
+    mass = unit * (w.sum() + tail)
+    return ln_z * mass + (a + b) * unit * (w @ np.logaddexp(0.0, t) + tail * t_tail), mass
 
 
 def _log_moment_and_slope(obj, law, k: float):
@@ -335,18 +373,14 @@ def _log_moment_and_slope(obj, law, k: float):
             terms[big] = 2.0 * (np.log(obj[big]) - math.log(k))
             L = float(np.mean(terms))
         return L, float(np.mean(_ratio(q)))
-    _, scale, radial, integrate = law
+    _, scale, _, integrate, shape = law
     if isinstance(obj, UnivariateCauchy):
         u, v = scale / k, obj.location / k
         D = (u * (u + 1.0) + v * v) / ((u + 1.0) ** 2 + v * v)
         return math.log1p(u * (u + 2.0) + v * v), D
-    # Density proportional to (1 + ||y/k0||^2)^(-mu) on R^p: ||Y/k0||^2 is
-    # beta-prime(p/2, mu - p/2).  ln s = 2 ln(k0/k) stays finite where s underflows.
-    if isinstance(obj, MaxentProfile):
-        return _beta_prime_moments(0.5 * obj.p, obj.mu - 0.5 * obj.p,
-                                   2.0 * (math.log(scale) - math.log(k)))
-    if isinstance(obj, MultivariateCauchy) and radial:
-        return _beta_prime_moments(1.0, 0.5, 2.0 * (math.log(scale) - math.log(k)))
+    if shape is not None:
+        # ln s = 2 ln(k0/k) stays finite where s underflows.
+        return _beta_prime_moments(shape[0], shape[1], 2.0 * (math.log(scale) - math.log(k)))
 
     def rows(f, r):
         q = (r / k) ** 2
@@ -528,7 +562,10 @@ def _quadrature_entropy(dist) -> EntropyEstimate:
     law = _law(dist)
     if law is None:
         raise TypeError(f"quadrature entropy cannot handle {type(dist).__name__}")
-    integrate = law[3]
+    _, scale, _, integrate, shape = law
+    if shape is not None:
+        a, b, ln_z = shape
+        return EntropyEstimate(_beta_prime_entropy(a, b, scale, ln_z())[0], "quadrature")
     if isinstance(dist, CustomDensity):
         mass = integrate(lambda f, r: f)
         if abs(mass - 1.0) > 1e-6:
@@ -540,8 +577,9 @@ def _quadrature_entropy(dist) -> EntropyEstimate:
 def entropy_estimate(dist_or_samples, method: str = "quadrature") -> EntropyEstimate:
     """Differential entropy in nats by the requested route.
 
-    quadrature              closed-form pdf integrated with the package-standard
-                            tan/radial substitutions (std_error 0);
+    quadrature              -f ln f of a law's pdf integrated (std_error 0): by the
+                            beta-prime rule for a profile or a central isotropic
+                            bivariate Cauchy law, else tanh-sinh (see ``_law``);
     knn                     first-nearest-neighbor estimator on samples, tail-robust;
     histogram_transformed   histogram of arctan(y/s) plus the exact Jacobian
                             correction, univariate samples only.

@@ -500,7 +500,8 @@ def _check_dispersion_identity(quick: bool):
 
 def _check_closed_form_log_moments(quick: bool):
     # The production closed forms and the beta-prime rule against the
-    # quadrature route they replaced, from k0 / 100 to 100 k0.
+    # quadrature route they replaced, from k0 / 100 to 100 k0; for the laws
+    # on the rule, also the rule's entropy against -f ln f by quadrature.
     gamma = 1.3
     ks = gamma * np.geomspace(0.01, 100.0, 25)
     laws = [cy.UnivariateCauchy(0.0, gamma), cy.UnivariateCauchy(2.0, gamma),
@@ -508,13 +509,19 @@ def _check_closed_form_log_moments(quick: bool):
     for p in (1, 2):
         laws += [cap.MaxentProfile(p=p, k=gamma, mu=float(mu), target=cap.ConstraintSpec(p).c)
                  for mu in np.linspace(0.5 * p + 0.2, 0.5 * p + 4.0, 6 if quick else 20)]
-    worst = 0.0
+    worst = worst_h = 0.0
     for d in laws:
-        integrate = cap._law(d)[3]
+        _, _, _, integrate, shape = cap._law(d)
         for k in ks:
             by_quad = integrate(lambda f, r: f * np.log1p((r / k) ** 2), k)
             worst = max(worst, abs(cap.log_moment(d, k) / by_quad - 1.0))
-    return worst <= 1e-10, f"worst closed-form/quadrature relative gap {worst:.2e} (tol 1e-10)"
+        if shape is not None:
+            by_quad = integrate(lambda f, r: special.scipy_special().entr(f))
+            worst_h = max(worst_h, abs(cap.entropy_estimate(d, "quadrature").value - by_quad))
+    return worst <= 1e-10 and worst_h <= 1e-12, (
+        f"worst closed-form/quadrature relative gap {worst:.2e} (tol 1e-10); "
+        f"worst rule/quadrature entropy gap {worst_h:.2e} (tol 1e-12)"
+    )
 
 
 def _capacity_formula_chain(p: int, A: float, quick: bool):
@@ -614,7 +621,7 @@ _CHECKS: List[Tuple[str, Callable[[bool], Tuple[bool, str]]]] = [
     ("cauchy/entropy_quadrature_univariate",
      partial(_check_entropy_quad, 1, (0.1, 1.0, 10.0), "1e-8")),
     ("cauchy/entropy_quadrature_bivariate",
-     partial(_check_entropy_quad, 2, (0.5, 1.0, 3.0), "1e-4")),
+     partial(_check_entropy_quad, 2, (0.5, 1.0, 3.0), "1e-12")),
     ("cauchy/sum_closure_univariate", partial(_check_sum_closure, 1, 100)),
     ("cauchy/sum_closure_bivariate", partial(_check_sum_closure, 2, 400)),
     ("cauchy/entropy_scaling", _check_entropy_scaling),

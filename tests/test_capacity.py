@@ -313,6 +313,54 @@ def test_beta_prime_rule_matches_mpmath(a, b, s, L, D):
     assert got[1] == pytest.approx(D, rel=1e-14, abs=0.0)
 
 
+def _profile_entropy_by_mpmath(p: int, k: float, mu: float) -> float:
+    """ln Z + mu (psi(mu) - psi(mu - p/2)) at the float k and mu, by mpmath at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a, k, mu = mp.mpf(p) / 2, mp.mpf(k), mp.mpf(mu)
+        ln_z = a * mp.log(mp.pi) + p * mp.log(k) + mp.loggamma(mu - a) - mp.loggamma(mu)
+        return float(ln_z + mu * (mp.psi(0, mu) - mp.psi(0, mu - a)))
+
+
+@pytest.mark.parametrize("k", [1e-5, 1.0, 1e6])
+@pytest.mark.parametrize("b", [0.01, 0.05, 0.5, 4.0])
+@pytest.mark.parametrize("p", [1, 2])
+def test_beta_prime_rule_entropy_matches_mpmath(p, b, k):
+    # The rule integrates -f ln f with the profile's own float normaliser, so
+    # its mass M carries the rounding of ln Z (an ulp of ln Z is 7.1e-15 at
+    # ln Z = 33), and the entropy carries it with M.  Seen: 2.8e-15 and
+    # 3.0e-15 at worst, at p = 2, b = 0.01, k = 1e6.
+    mu = 0.5 * p + b
+    prof = MaxentProfile(p, k, mu, ConstraintSpec(p).c)
+    h, mass = capacity_module._beta_prime_entropy(0.5 * p, mu - 0.5 * p, k, prof.log_norm)
+    assert h == pytest.approx(_profile_entropy_by_mpmath(p, k, mu), rel=4e-15, abs=0.0)
+    assert mass == pytest.approx(1.0, rel=0.0, abs=4e-15)
+    # h(k) = h(1) + p ln k, to the rounding of the terms of size p |ln k|.
+    unit = entropy_estimate(MaxentProfile(p, 1.0, mu, ConstraintSpec(p).c), "quadrature").value
+    shift = p * math.log(k)
+    assert h == pytest.approx(unit + shift, rel=0.0, abs=4e-15 * (abs(unit) + abs(shift)))
+
+
+@pytest.mark.parametrize("p, mu", [(1, 0.51), (2, 1.05), (2, 1.01)])
+def test_entropy_of_profile_near_its_pole_matches_mpmath(p, mu):
+    # tanh-sinh in the substituted angle raised QuadratureError here; the
+    # rule sums the slowly decaying tail e^(-(mu - p/2) t) as a geometric series.
+    h = entropy_estimate(MaxentProfile(p, 1.0, mu, ConstraintSpec(p).c), "quadrature").value
+    assert h == pytest.approx(_profile_entropy_by_mpmath(p, 1.0, mu), rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("p, mu", [(1, 4.5), (1, 4.3), (2, 4.2)])
+def test_quadrature_log_moment_far_above_the_scale_matches_mpmath(p, mu):
+    # The quadrature route, the cross-check of the rule in verify, at
+    # k = 100 k0: with the substitution scale k0 + k it missed by 2.6e-11,
+    # 2.3e-11 and 1.7e-11 here.
+    prof = MaxentProfile(p, 1.0, mu, ConstraintSpec(p).c)
+    by_quad = capacity_module._law(prof)[3](lambda f, r: f * np.log1p((r / 100.0) ** 2), 100.0)
+    want = _beta_prime_log_moment_by_mpmath(0.5 * p, mu - 0.5 * p, -2.0 * math.log(100.0))
+    assert by_quad == pytest.approx(want, rel=4e-15, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "law, spec",
     [

@@ -193,7 +193,7 @@ def test_entropy_matches_quadrature():
     for k in (0.5, 1.0, 3.0):
         b = MultivariateCauchy([0.0, 0.0], k**2 * np.eye(2))
         assert entropy_estimate(b, "quadrature").value == pytest.approx(
-            entropy_multivariate(b), abs=1e-4
+            entropy_multivariate(b), abs=1e-12
         )
 
 
