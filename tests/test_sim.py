@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -271,6 +272,66 @@ def test_sample_set_invariants():
     assert run.censored_count >= 0
     assert np.all(run.hit_times > 0.0)
     assert run.config_echo == cfg
+
+
+# pinned outputs -----------------------------------------------------------------
+
+# (dimension, drift, dt, max_steps, n_particles, stepper).  Every drift regime
+# in 2D and 3D with both steppers; the last run spans two 4,096-particle
+# Philox chunks.  Any change to the draws, their order or the arithmetic on
+# them changes a digest.
+PINNED_RUNS = {
+    "2d_zero": (2, (0.0, 0.0), 1e-4, 1_000_000, 500, "block_bridge"),
+    "3d_zero": (3, (0.0, 0.0, 0.0), 1e-3, 100_000, 500, "block_bridge"),
+    "2d_toward": (2, (0.8, -0.5), 5e-4, 100_000, 500, "block_bridge"),
+    "3d_toward": (3, (0.0, 0.0, -0.5), 1e-3, 100_000, 500, "block_bridge"),
+    "2d_away": (2, (0.0, 1.0), 2e-4, 100_000, 500, "block_bridge"),
+    "3d_away": (3, (0.3, 0.0, 1.0), 1e-3, 100_000, 500, "block_bridge"),
+    "2d_zero_per_step": (2, (0.0, 0.0), 1e-3, 2_000, 200, "per_step"),
+    "3d_toward_per_step": (3, (0.0, 0.2, -0.5), 1e-3, 2_000, 200, "per_step"),
+    "2d_toward_two_chunks": (2, (0.5, -1.0), 1e-3, 5_000, 5_000, "block_bridge"),
+}
+
+# SHA-256 of (positions, hit_times, hit_particle_ids, censored_count), taken
+# with numpy 2.4.6 on x86-64.
+PINNED_DIGESTS = {
+    "2d_away":
+        "af539ca8f295eccd9f3c2ec3780bf643bf20f7460518a7e86c99e1609de0ffe2",
+    "2d_toward":
+        "7f1ca734cb05ae108436c522376c8dae32792dc8cbe10960eaea28bfa850fe28",
+    "2d_toward_two_chunks":
+        "bdfa6aaf025408bd59e3d57d34476896030dfc442cd0ce7ab32f9a8f6b999739",
+    "2d_zero":
+        "210540c2bcc813630d8c130d4783dacfa5b400a3bc1ab0b65bb010b2dd037c7b",
+    "2d_zero_per_step":
+        "bd09f970843114ed0ef815a53979ddbb70fd8f8b6210f5a33cd360f6d80b292b",
+    "3d_away":
+        "1c7083f097d7ef743794f1fa12e28f01b467de61c9d434045dafefff071361dc",
+    "3d_toward":
+        "fca6624c1e18fb7a66cfa4d56ea9a1efab60aeafc1970f1fa0b82b4aebe6e836",
+    "3d_toward_per_step":
+        "68978d47ebe1ac07b7b0abb9df6608068f96e087fb945003d96a034b68d4d750",
+    "3d_zero":
+        "02b3f1d26e5358bc446e83bbe3a7def1f15f41e415f28cc8128beb17a1c10225",
+}
+
+
+def _run_digest(run):
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(run.positions, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(run.hit_times, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(run.hit_particle_ids, dtype="<i8").tobytes())
+    h.update(str(run.censored_count).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore:censored fraction")
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_simulator_outputs_are_pinned(name):
+    dim, drift, dt, max_steps, n, stepper = PINNED_RUNS[name]
+    cfg = SimConfig(ChannelGeometry(dim, 1.0, 1.0), DriftVector(*drift), dt=dt,
+                    n_particles=n, max_steps=max_steps, seed=7, stepper=stepper)
+    assert _run_digest(simulate_first_arrival(cfg, workers=1)) == PINNED_DIGESTS[name]
 
 
 # export -------------------------------------------------------------------------
