@@ -215,12 +215,16 @@ def _law(obj):
         pdf = lambda y: pdf_univariate(obj, y)
     elif isinstance(obj, MultivariateCauchy):
         dim, center, pdf = obj.dim, obj.location, lambda y: pdf_multivariate(obj, y)
-        s2 = float(np.max(np.diag(obj.scale_matrix)))
+        rows = obj.scale_matrix.tolist()
+        s2 = max(rows[i][i] for i in range(dim))
         scale = math.sqrt(s2)
+        # allclose(scale_matrix, s2 I, rtol=1e-12, atol=0), spelled out:
+        # off-diagonals exactly 0, diagonals within 1e-12 s2.
         radial = (
             dim == 2
-            and not np.any(obj.location)
-            and np.allclose(obj.scale_matrix, s2 * np.eye(dim), rtol=1e-12, atol=0.0)
+            and not obj.location.any()
+            and all(abs(v - s2) <= 1e-12 * s2 if i == j else v == 0.0
+                    for i, row in enumerate(rows) for j, v in enumerate(row))
         )
         # ln Z is read only when asked: the Cauchy constant loads scipy.special.
         shape = (1.0, 0.5, lambda: -obj.log_norm) if radial else None

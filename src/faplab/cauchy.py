@@ -207,7 +207,12 @@ def sample_univariate(d: UnivariateCauchy, n: int, seed: int) -> np.ndarray:
         raise ValueError("n must be >= 0")
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-    return d.location + d.scale * np.tan(math.pi * (u - 0.5))
+    u -= 0.5
+    u *= math.pi
+    np.tan(u, out=u)
+    u *= d.scale
+    u += d.location
+    return u
 
 
 def sample_multivariate(d: MultivariateCauchy, n: int, seed: int) -> np.ndarray:
@@ -217,8 +222,10 @@ def sample_multivariate(d: MultivariateCauchy, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, d.dim))
     z = rng.standard_normal(n)
-    ratio = g / np.abs(z)[:, None]
-    return d.location + ratio @ d._chol.T
+    g /= np.abs(z, out=z)[:, None]
+    y = g @ d._chol.T
+    y += d.location
+    return y
 
 
 def _as_central_isotropic(d: CauchyParams):

@@ -156,23 +156,19 @@ def _coarse_block_size(g: ChannelGeometry, dt: float) -> int:
 
 
 def _bridge_points(rng, a, b, n, step_var):
-    """Split n-step walk bridges from a to b at j = n // 2; returns (j, walk at step j).
+    """Split n-step walk bridges from a to b at j = n // 2; returns (j, n - j, walk at step j).
 
     Given both ends, step j of a Gaussian walk with step variance step_var is
     Gaussian with mean a + (j/n)(b - a) and variance step_var j (n - j) / n,
     whatever the drift, and the two halves are independent bridges again.
     """
     j = n // 2
+    rest = n - j
     mean = a + (j / n) * (b - a)
-    return j, mean + np.sqrt(step_var * j * (n - j) / n) * rng.standard_normal(a.size)
+    return j, rest, mean + np.sqrt(step_var * j * rest / n) * rng.standard_normal(a.size)
 
 
-def _may_cross(a, b, bound):
-    """The crossing test a*b <= bound; a product that overflows is +inf: no crossing."""
-    with np.errstate(over="ignore"):
-        return a * b <= bound
-
-
+@np.errstate(over="ignore")  # a product a*b that overflows is +inf: no crossing
 def _first_crossings(rng, z, path, size, thresh, step_var):
     """Earliest crossing step of each particle within one batch of coarse blocks.
 
@@ -185,9 +181,9 @@ def _first_crossings(rng, z, path, size, thresh, step_var):
     crossing.  Returns the crossing unit steps (p, s, a, b), at most one per
     particle, with s counted from the batch start.
     """
-    p, s = np.nonzero(_may_cross(np.concatenate([z[:, None], path[:, :-1]], axis=1), path,
-                                 thresh * size))
-    a = np.where(s > 0, path[p, s - 1], z[p])
+    prev = np.concatenate([z[:, None], path[:, :-1]], axis=1)
+    p, s = np.nonzero(prev * path <= thresh * size)
+    a = prev[p, s]
     b = path[p, s]
     s = s * size
     n = np.full(p.size, size)
@@ -196,18 +192,20 @@ def _first_crossings(rng, z, path, size, thresh, step_var):
     absorbed = path <= 0.0
     first = (np.where(absorbed.any(axis=1), absorbed.argmax(axis=1), path.shape[1]) + 1) * size
     while True:
-        keep = (s < first[p]) & ((b <= 0.0) | ((n > 1) & _may_cross(a, b, thresh * n)))
+        # Boolean-mask gathers on these random masks cost several times one
+        # np.flatnonzero, so every compaction gathers through an index array.
+        keep = np.flatnonzero((s < first[p]) & ((b <= 0.0) | ((n > 1) & (a * b <= thresh * n))))
         p, s, n, a, b = p[keep], s[keep], n[keep], a[keep], b[keep]
         if not (n > 1).any():
             return p, s, a, b
         # A unit step splits at j = 0 into an empty stretch, which is dropped,
         # and itself: its "midpoint" is a, drawn with variance 0.
-        j, c = _bridge_points(rng, a, b, n, step_var)
-        below = c <= 0.0
+        j, rest, c = _bridge_points(rng, a, b, n, step_var)
+        below = np.flatnonzero(c <= 0.0)
         np.minimum.at(first, p[below], s[below] + j[below])
         p = np.concatenate([p, p])
         s = np.concatenate([s, s + j])
-        n = np.concatenate([j, n - j])
+        n = np.concatenate([j, rest])
         a, b = np.concatenate([a, c]), np.concatenate([c, b])
 
 
@@ -250,8 +248,9 @@ def _bridge_chunk(rng, cfg: SimConfig, x_in: np.ndarray, n: int):
                     + sd[:, None] * rng.standard_normal((p.size, g.n_transverse)))
         stay = np.ones(alive.size, dtype=bool)
         stay[p] = False
-        z = path[stay, -1]
-        alive = alive[stay]
+        rows = np.flatnonzero(stay)
+        z = path[rows, -1]
+        alive = alive[rows]
         steps_done += k * size
     return t_hit, pos
 
@@ -289,8 +288,9 @@ def _literal_chunk(rng, cfg: SimConfig, x_in: np.ndarray, n: int):
         ids = alive[rows]
         pos[ids] = prev[:, :-1] + alpha[:, None] * (cur[:, :-1] - prev[:, :-1])
         t_hit[ids] = (steps_done + i) * dt + alpha * dt
-        w = path[~hit, -1]
-        alive = alive[~hit]
+        miss = np.flatnonzero(~hit)
+        w = path[miss, -1]
+        alive = alive[miss]
         steps_done += k
     return t_hit, pos
 
@@ -379,9 +379,14 @@ def sample_exact_zero_drift(
         )
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
-    gauss = rng.standard_normal((n, g.n_transverse))
-    times = g.lam * g.lam / (g.sigma2 * z * z)
-    positions = x_in + g.lam * gauss / np.abs(z)[:, None]
+    positions = rng.standard_normal((n, g.n_transverse))
+    # In place, in the order of lam^2 / (sigma2 z z) and x_in + lam G / |z|.
+    times = g.sigma2 * z
+    times *= z
+    np.divide(g.lam * g.lam, times, out=times)
+    positions *= g.lam
+    positions /= np.abs(z, out=z)[:, None]
+    positions += x_in
     return FapSampleSet(
         positions=positions,
         hit_times=times,

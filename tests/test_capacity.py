@@ -474,6 +474,35 @@ def test_cauchy_slopes_match_quadrature(law):
         assert D == pytest.approx(by_quad, rel=1e-12), k
 
 
+_S2 = 1.69
+_RADIAL_CASES = {
+    "isotropic": ([0.0, 0.0], [[_S2, 0.0], [0.0, _S2]]),
+    "anisotropic": ([0.0, 0.0], [[_S2, 0.0], [0.0, 0.5 * _S2]]),
+    "correlated": ([0.0, 0.0], [[_S2, 0.3], [0.3, _S2]]),
+    "off_centre": ([0.0, 1e-300], [[_S2, 0.0], [0.0, _S2]]),
+    "diagonal_1e-13_low": ([0.0, 0.0], [[_S2, 0.0], [0.0, _S2 * (1.0 - 1e-13)]]),
+    "diagonal_1e-13_high": ([0.0, 0.0], [[_S2 * (1.0 + 1e-13), 0.0], [0.0, _S2]]),
+    "diagonal_1e-11": ([0.0, 0.0], [[_S2, 0.0], [0.0, _S2 * (1.0 - 1e-11)]]),
+    "off_diagonal_1e-13": ([0.0, 0.0], [[_S2, 1e-13 * _S2], [1e-13 * _S2, _S2]]),
+    "3d_isotropic": ([0.0, 0.0, 0.0], np.diag([_S2, _S2, _S2]).tolist()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RADIAL_CASES))
+def test_law_routes_only_central_isotropic_bivariate_cauchy_radially(case):
+    # The decision is allclose(scale_matrix, s2 I, rtol=1e-12, atol=0), s2 the
+    # largest diagonal entry, for a central law in the plane.
+    loc, sig = _RADIAL_CASES[case]
+    law = MultivariateCauchy(np.array(loc), np.array(sig))
+    s2 = float(np.max(np.diag(law.scale_matrix)))
+    expected = (law.dim == 2 and not np.any(law.location)
+                and np.allclose(law.scale_matrix, s2 * np.eye(law.dim), rtol=1e-12, atol=0.0))
+    _, scale, radial, _, shape = capacity_module._law(law)
+    assert radial is expected and (shape is not None) is expected
+    assert scale == math.sqrt(s2)
+    assert expected is (case in ("isotropic", "diagonal_1e-13_low", "diagonal_1e-13_high"))
+
+
 @pytest.mark.parametrize("y, spec", [(np.zeros(100), SPEC1), (np.zeros((100, 2)), SPEC2)],
                          ids=["1d", "2d"])
 def test_dispersion_of_samples_at_the_origin_has_no_root(y, spec):

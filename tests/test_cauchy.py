@@ -249,6 +249,27 @@ def test_sample_univariate_deterministic():
     assert sample_univariate(d, 0, 3).size == 0
 
 
+@pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (-3.5, 0.25), (1e8, 7.0)])
+def test_sample_univariate_matches_its_inverse_cdf_bit_for_bit(loc, scale):
+    u = np.random.default_rng(17).random(3000)
+    assert np.array_equal(sample_univariate(UnivariateCauchy(loc, scale), 3000, seed=17),
+                          loc + scale * np.tan(math.pi * (u - 0.5)))
+
+
+@pytest.mark.parametrize("loc, sig", [
+    ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+    ([1.5, -2.0], [[2.0, 0.6], [0.6, 0.5]]),
+    ([0.0, 3.0, -1.0], [[1.0, 0.2, 0.0], [0.2, 2.0, 0.3], [0.0, 0.3, 0.7]]),
+])
+def test_sample_multivariate_matches_its_defining_expression_bit_for_bit(loc, sig):
+    d = MultivariateCauchy(loc, sig)
+    rng = np.random.default_rng(19)
+    g = rng.standard_normal((3000, d.dim))
+    z = rng.standard_normal(3000)
+    assert np.array_equal(sample_multivariate(d, 3000, seed=19),
+                          d.location + (g / np.abs(z)[:, None]) @ d._chol.T)
+
+
 def test_sample_multivariate_marginals_ks():
     b = MultivariateCauchy([0.0, 0.0], np.eye(2))
     ref = UnivariateCauchy(0.0, 1.0)

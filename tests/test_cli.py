@@ -117,6 +117,7 @@ for argv, code in (
     (["--help"], 0),
     (["capacity", "--channel", "fap2d", "--A", "nan"], 2),
     (["density", "-n", "2", "--vz", "1", "--out", "density"], 2),
+    (["verify", "--only", "no-such-check"], 2),
 ):
     assert run(argv) == code, argv
     assert not loaded("numpy"), (argv, loaded("numpy"))
@@ -367,6 +368,13 @@ def test_verify_subset(capsys):
     assert rc == EXIT_USAGE
 
 
+def test_verify_check_names_are_listed_without_loading_the_checks():
+    from faplab.cli import _VERIFY_CHECK_NAMES
+    from faplab.verify import check_names
+
+    assert list(_VERIFY_CHECK_NAMES) == check_names()
+
+
 def test_verify_stdout_is_only_check_lines(capsys):
     # The manifest round-trip runs the CLI in-process; its "wrote <temporary
     # directory>" lines must not reach the report.
@@ -383,6 +391,8 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
     forced = verify_mod._CHECKS + [("selftest/always_fails", lambda quick: (False, "forced"))]
     monkeypatch.setattr(verify_mod, "_CHECKS", forced)
+    monkeypatch.setattr(faplab.cli, "_VERIFY_CHECK_NAMES",
+                        faplab.cli._VERIFY_CHECK_NAMES + ("selftest/always_fails",))
     rc = run(["verify", "--only", "selftest/always_fails"])
     out = capsys.readouterr().out
     assert rc == 1

@@ -124,6 +124,20 @@ def test_exact_sampler_deterministic():
     assert np.array_equal(a.positions, b.positions)
 
 
+@pytest.mark.parametrize("g, x_in", [
+    (G2, 0.7), (ChannelGeometry(2, 2.5, 0.3), -1.25),
+    (G3, (0.4, -2.0)), (ChannelGeometry(3, 0.7, 3.0), (0.0, 1e6)),
+])
+def test_exact_sampler_matches_its_defining_expressions_bit_for_bit(g, x_in):
+    run = sample_exact_zero_drift(g, x_in=x_in, n=2000, seed=21)
+    rng = np.random.default_rng(21)
+    z = rng.standard_normal(2000)
+    gauss = rng.standard_normal((2000, g.n_transverse))
+    assert np.array_equal(run.hit_times, g.lam * g.lam / (g.sigma2 * z * z))
+    assert np.array_equal(run.positions,
+                          np.atleast_1d(x_in) + g.lam * gauss / np.abs(z)[:, None])
+
+
 # Euler-Maruyama simulation ------------------------------------------------------
 
 
@@ -181,8 +195,9 @@ def test_bridge_point_mean_and_variance(n_steps):
     # mean a + (j/n)(b - a), variance s2 j (n - j) / n.
     size, a, b, s2 = 200_000, 0.7, -0.2, 0.3
     rng = np.random.Generator(np.random.Philox(key=np.array([5, n_steps], dtype=np.uint64)))
-    j, z = _bridge_points(rng, np.full(size, a), np.full(size, b), np.full(size, n_steps), s2)
-    assert np.all(j == n_steps // 2)
+    j, rest, z = _bridge_points(rng, np.full(size, a), np.full(size, b), np.full(size, n_steps),
+                                s2)
+    assert np.all(j == n_steps // 2) and np.all(rest == n_steps - n_steps // 2)
     j = n_steps // 2
     mean = a + (j / n_steps) * (b - a)
     var = s2 * j * (n_steps - j) / n_steps
@@ -203,6 +218,23 @@ def test_first_crossings_finds_first_crossing_step():
     assert p[order].tolist() == [0, 1]
     assert s[order].tolist() == [3, 9]
     assert a[order].tolist() == [0.25, 0.25] and b[order].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [1, 8])
+def test_first_crossings_ignores_products_that_overflow(size):
+    # Block ends near +-1e200, so a*b overflows to +-inf: +inf is no
+    # crossing, silently, and -inf (a stretch from 1e200 to -1e200) is one.
+    # Particle 2 is ordinary.  Zero step variance makes every bridge a line.
+    z = np.array([1e200, 3e200, 1.0, 1e200])
+    path = np.array([[2e200, 1e200, 5e199], [1e200, 4e200, 2e200], [0.5, -0.5, 1.0],
+                     [2e200, 1e200, -1e200]])
+    p, s, a, b = _first_crossings(np.random.default_rng(0), z, path, size, 0.0, 0.0)
+    order = np.argsort(p)
+    p, s, a, b = p[order], s[order], a[order], b[order]
+    assert p.tolist() == [2, 3]
+    assert np.all(b <= 0.0) and np.all(a > 0.0)
+    assert size <= s[0] < 2 * size and 2 * size <= s[1] < 3 * size
 
 
 def test_drifted_positions_match_analytic_density():
