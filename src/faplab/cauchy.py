@@ -223,9 +223,11 @@ def sample_multivariate(d: MultivariateCauchy, n: int, seed: int) -> np.ndarray:
     g = rng.standard_normal((n, d.dim))
     z = rng.standard_normal(n)
     g /= np.abs(z, out=z)[:, None]
-    y = g @ d._chol.T
-    y += d.location
-    return y
+    # The sum goes to a fresh array, not into the product.  Summed in place,
+    # a 1e6-draw output changed where glibc's heap put the large arrays made
+    # after it, and the KD-tree entropy that follows in perfbench's
+    # capacity_samples faulted in ~6,000 fresh pages on every round.
+    return d.location + g @ d._chol.T
 
 
 def _as_central_isotropic(d: CauchyParams):
