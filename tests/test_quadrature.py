@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 
 from faplab import fap
-from faplab.capacity import log_moment
-from faplab.cauchy import UnivariateCauchy, isotropic_cauchy, pdf_multivariate, pdf_univariate
+from faplab.capacity import (
+    ConstraintSpec,
+    CustomDensity,
+    dispersion_of,
+    entropy_estimate,
+    log_moment,
+)
+from faplab.cauchy import (
+    MultivariateCauchy,
+    UnivariateCauchy,
+    isotropic_cauchy,
+    pdf_multivariate,
+    pdf_univariate,
+)
 from faplab.quadrature import (
     QuadratureError,
     integrate_plane,
@@ -123,3 +135,55 @@ def test_scalar_callable_may_overflow_python_float_arithmetic():
 def test_cores_reject_non_positive_scale(core):
     with pytest.raises(ValueError, match="scale must be positive"):
         core(lambda y: y, scale=0.0)
+
+
+# pinned outputs -----------------------------------------------------------------
+
+# The tanh-sinh fallback of the capacity layer: laws that are neither a
+# profile, a central isotropic Cauchy law nor a univariate Cauchy law.  Per
+# law: dispersion_of, log_moment at k = 0.05 and 3.0, and the quadrature
+# entropy, as float.hex, taken with numpy 2.4.6 and scipy 1.17.1 on x86-64.
+_CAUCHY_1D = UnivariateCauchy(0.3, 1.2)
+PINNED_LAWS = {
+    "bivariate_anisotropic": (
+        MultivariateCauchy([0.0, 0.0], [[1.69, 0.3], [0.3, 1.0]]),
+        ("0x1.25594b6671e2ap+0", "0x1.e9a0d6a23b70ep+2", "0x1.f3baefe8bc6b5p-1",
+         "0x1.44aa0c2e2151ep+2"),
+    ),
+    "bivariate_off_centre": (
+        MultivariateCauchy([0.5, -0.2], 1.69 * np.eye(2)),
+        ("0x1.552a888e4f69dp+0", "0x1.ff333792dbb27p+2", "0x1.17e451ab8ce4ap+0",
+         "0x1.5734ee19566e9p+2"),
+    ),
+    "custom_1d": (
+        CustomDensity(lambda y: pdf_univariate(_CAUCHY_1D, y), 1, 0.3, 1.2),
+        ("0x1.37f1ed8c8aa06p+0", "0x1.9f99a9b49bfe3p+2", "0x1.5b2736676755cp-1",
+         "0x1.5b4eea50f373dp+1"),
+    ),
+    "custom_2d_anisotropic_off_centre": (
+        CustomDensity(_aniso, 2, (0.5, -0.2), 2.0),
+        ("0x1.8af81022d106fp+0", "0x1.07dbd91643750p+3", "0x1.3c7ed4efb9262p+0",
+         "0x1.61fc4d1f87cb2p+2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LAWS))
+def test_law_quadrature_fallback_is_pinned(name):
+    law, pinned = PINNED_LAWS[name]
+    got = (dispersion_of(law, ConstraintSpec(law.dim)), log_moment(law, 0.05),
+           log_moment(law, 3.0), entropy_estimate(law, "quadrature").value)
+    assert tuple(v.hex() for v in got) == pinned
+
+
+# Arrival mass on the line (2D, drift (0.8, 0.75)) and radially (3D, drift
+# (0, 0, 0.75)); the plane is pinned through the bivariate laws above.
+@pytest.mark.parametrize(
+    "geometry, drift, pinned",
+    [((2, 2.0, 0.5), (0.8, 0.75), "0x1.44e51f113d4d3p-9"),
+     ((3, 0.8, 1.5), (0.0, 0.0, 0.75), "0x1.cc1ce4581db89p-2")],
+    ids=["line", "radial"],
+)
+def test_arrival_mass_by_quadrature_is_pinned(geometry, drift, pinned):
+    g, v = fap.ChannelGeometry(*geometry), fap.DriftVector(*drift)
+    assert _arrival_mass_by_quadrature(g, v).hex() == pinned
