@@ -203,8 +203,7 @@ def _law(obj):
     (radial is True), and over the full plane otherwise.  An integrand with
     structure at a second length as well (k in a log-moment) passes it as
     extra; the substitution then uses scale + min(extra, scale), as a
-    larger one squeezes the law's core.  With rows = m, h returns m rows of
-    values and integrate returns the m integrals from one quadrature call.
+    larger one squeezes the law's core.
 
     shape is (a, b, ln_z) for a profile or central isotropic bivariate Cauchy
     law, density (1 + ||y/scale||^2)^(-(a + b)) / Z on R^(2a), with ln_z()
@@ -215,17 +214,9 @@ def _law(obj):
         pdf = lambda y: pdf_univariate(obj, y)
     elif isinstance(obj, MultivariateCauchy):
         dim, center, pdf = obj.dim, obj.location, lambda y: pdf_multivariate(obj, y)
-        rows = obj.scale_matrix.tolist()
-        s2 = max(rows[i][i] for i in range(dim))
+        s2, isotropic = obj._isotropy()
         scale = math.sqrt(s2)
-        # allclose(scale_matrix, s2 I, rtol=1e-12, atol=0), spelled out:
-        # off-diagonals exactly 0, diagonals within 1e-12 s2.
-        radial = (
-            dim == 2
-            and not obj.location.any()
-            and all(abs(v - s2) <= 1e-12 * s2 if i == j else v == 0.0
-                    for i, row in enumerate(rows) for j, v in enumerate(row))
-        )
+        radial = dim == 2 and not obj.location.any() and isotropic
         # ln Z is read only when asked: the Cauchy constant loads scipy.special.
         shape = (1.0, 0.5, lambda: -obj.log_norm) if radial else None
     elif isinstance(obj, MaxentProfile):
@@ -237,21 +228,19 @@ def _law(obj):
     else:
         return None
 
-    def integrate(h: Callable[[np.ndarray, np.ndarray], np.ndarray], extra: float = 0.0,
-                  rows: Optional[int] = None):
+    def integrate(h: Callable[[np.ndarray, np.ndarray], np.ndarray], extra: float = 0.0) -> float:
         s = scale + min(extra, scale)
         c = np.broadcast_to(np.asarray(center, dtype=float), (dim,))
         if dim == 1:
-            return line_integral(lambda y: h(pdf(y), np.abs(y)), center=float(c[0]), scale=s,
-                                 rows=rows)
+            return line_integral(lambda y: h(pdf(y), np.abs(y)), center=float(c[0]), scale=s)
         if dim != 2:
             raise ValueError("quadrature supports dimensions 1 and 2")
         if radial:
             return radial_integral(
-                lambda r: h(pdf(np.column_stack([r, np.zeros_like(r)])), r), scale=s, rows=rows
+                lambda r: h(pdf(np.column_stack([r, np.zeros_like(r)])), r), scale=s
             )
         return plane_integral(
-            lambda y: h(pdf(y), np.hypot(y[:, 0], y[:, 1])), center=tuple(c), scale=s, rows=rows
+            lambda y: h(pdf(y), np.hypot(y[:, 0], y[:, 1])), center=tuple(c), scale=s
         )
 
     return dim, scale, radial, integrate, shape
@@ -364,8 +353,7 @@ def _log_moment_and_slope(obj, law, k: float):
     """(L, D) at k: L = E ln(1 + q) and its slope D = E[q / (1 + q)] = -(1/2) dL/d ln k.
 
     q = ||Y/k||^2, for (obj, law) from ``_norms_or_law``, by the routes of
-    ``log_moment``; on the quadrature route L and D are the two rows of one
-    call.
+    ``log_moment``.
     """
     if law is None:
         with np.errstate(over="ignore"):
@@ -385,13 +373,8 @@ def _log_moment_and_slope(obj, law, k: float):
     if shape is not None:
         # ln s = 2 ln(k0/k) stays finite where s underflows.
         return _beta_prime_moments(shape[0], shape[1], 2.0 * (math.log(scale) - math.log(k)))
-
-    def rows(f, r):
-        q = (r / k) ** 2
-        return np.stack([f * np.log1p(q), f * _ratio(q)])
-
-    L, D = integrate(rows, k, rows=2)
-    return float(L), float(D)
+    L = integrate(lambda f, r: f * np.log1p((r / k) ** 2), k)
+    return L, integrate(lambda f, r: f * _ratio((r / k) ** 2), k)
 
 
 def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
@@ -547,6 +530,8 @@ def _histogram_transformed_entropy(samples: np.ndarray) -> EntropyEstimate:
     n = y.size
     if n < 1000:
         raise ValueError("the transformed-histogram estimator needs at least 1000 samples")
+    if not np.isfinite(y).all():
+        raise ValueError("the transformed-histogram estimator needs finite samples")
     s = float(np.median(np.abs(y)))
     if s <= 0.0:
         raise ValueError("degenerate sample: zero robust scale")

@@ -46,8 +46,8 @@ class UnivariateCauchy:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
         if not math.isfinite(self.location):
             raise ValueError("location must be finite")
 
@@ -67,6 +67,10 @@ class MultivariateCauchy:
             raise ValueError(
                 f"scale matrix shape {sig.shape} does not match location length {loc.size}"
             )
+        if not np.isfinite(loc).all():
+            raise ValueError("location must be finite")
+        if not np.isfinite(sig).all():
+            raise ValueError("scale matrix must be finite")
         if not np.allclose(sig, sig.T, rtol=1e-12, atol=1e-12):
             raise ValueError("scale matrix must be symmetric")
         try:
@@ -93,12 +97,22 @@ class MultivariateCauchy:
             - 0.5 * log_det
         )
 
+    def _isotropy(self) -> tuple[float, bool]:
+        """(s2, isotropic): the largest diagonal entry, and allclose(M, s2 I, rtol=1e-12, atol=0).
+
+        Spelled out: off-diagonals exactly 0, diagonals within 1e-12 s2.
+        """
+        rows = self.scale_matrix.tolist()
+        s2 = max(rows[i][i] for i in range(len(rows)))
+        return s2, all(abs(v - s2) <= 1e-12 * s2 if i == j else v == 0.0
+                       for i, row in enumerate(rows) for j, v in enumerate(row))
+
     def isotropic_scale(self) -> float:
         """The common scale gamma when the scale matrix is diag(gamma^2, ...), else raise."""
-        g2 = self.scale_matrix[0, 0]
-        if not np.allclose(self.scale_matrix, g2 * np.eye(self.dim), rtol=1e-12, atol=0.0):
+        s2, isotropic = self._isotropy()
+        if not isotropic:
             raise ValueError("scale matrix is not isotropic diagonal")
-        return math.sqrt(g2)
+        return math.sqrt(s2)
 
 
 @dataclass(frozen=True)

@@ -207,13 +207,8 @@ def fap_pdf_3d(g: ChannelGeometry, v: DriftVector, pt: FapPoint) -> float:
     return fap_pdf(g, v, pt)
 
 
-def zero_drift_reduction(
-    g: ChannelGeometry, x=None
-) -> Union[UnivariateCauchy, MultivariateCauchy]:
-    """Zero-drift arrival law: the isotropic Cauchy law of scale lam centered at x.
-
-    Cauchy(x1, lam) in 2D, the isotropic bivariate Cauchy in 3D.
-    """
+def _input_position(g: ChannelGeometry, x=None) -> np.ndarray:
+    """The transverse input position x (default the origin) as a checked 1-D array."""
     if x is None:
         x = np.zeros(g.n_transverse)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -221,7 +216,19 @@ def zero_drift_reduction(
         raise ValueError(
             f"input position has {x.size} coordinates, expected {g.n_transverse}"
         )
-    return isotropic_cauchy(g.n_transverse, g.lam, x)
+    if not np.isfinite(x).all():
+        raise ValueError(f"input position must be finite, got {x.tolist()}")
+    return x
+
+
+def zero_drift_reduction(
+    g: ChannelGeometry, x=None
+) -> Union[UnivariateCauchy, MultivariateCauchy]:
+    """Zero-drift arrival law: the isotropic Cauchy law of scale lam centered at x.
+
+    Cauchy(x1, lam) in 2D, the isotropic bivariate Cauchy in 3D.
+    """
+    return isotropic_cauchy(g.n_transverse, g.lam, _input_position(g, x))
 
 
 def fap_pdf(g: ChannelGeometry, v: DriftVector, pt: FapPoint) -> float:

@@ -18,13 +18,9 @@ is an endpoint singularity, which the double-exponential nodes of
 The cores ``line_integral``, ``radial_integral`` and ``plane_integral`` take
 array integrands: f(y) for a 1-D array of points on the line, f(r) for an
 array of radii, f(pts) for an (n, 2) array of points in the plane, each
-returning one value per point.  Given ``rows`` = m, the integrand returns an
-(m, n) array instead, m integrands from one call, and the core returns the
-m integrals from one tanhsinh call: each row is an element of the call,
-picked out by a broadcast row index in its ``args``, and converges on its
-own; f sees the nodes of every element still running at once.  The plane
-is a nested rule whose inner radial integrals, one per polar angle and row,
-run as one vectorized tanhsinh call per block of angles.
+returning one value per point.  The plane is a nested rule whose inner
+radial integrals, one per polar angle, run as one vectorized tanhsinh call
+per block of angles.
 ``integrate_real_line``, ``integrate_plane_radial`` and ``integrate_plane``
 are their scalar-callable forms.
 
@@ -41,7 +37,7 @@ mass at lam = 2, sigma2 = 0.5, drift (0, 1) stopped after 67 evaluations
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,8 +52,8 @@ __all__ = [
 ]
 
 MINLEVEL = 4
-# Inner radial integrals (one per polar angle and integrand row) that share
-# one vectorized call; bounds the inner arrays to this many rows of nodes.
+# Inner radial integrals (one per polar angle) that share one vectorized
+# call; bounds the inner node arrays to this many angles.
 _RING_BLOCK = 64
 
 
@@ -100,93 +96,57 @@ def _check_scale(scale: float) -> None:
         raise ValueError("scale must be positive")
 
 
-def _own_row(fx, row, shape):
-    """The value at each node of a call in its element's own row.
-
-    fx holds the integrand on the flattened nodes of the call's elements,
-    one row or (rows, n); row is each element's row index, broadcast
-    against the nodes.
-    """
-    fx = np.asarray(fx, dtype=float).reshape(-1, math.prod(shape))
-    return fx[np.broadcast_to(row, shape).ravel(), np.arange(fx.shape[1])].reshape(shape)
-
-
-def _integrate_rows(g, b, epsabs, epsrel, rows):
-    """One tanhsinh call of g(theta, row) over (0, b), an element per row index.
-
-    A float for rows None (row 0 alone), else the array of the rows' integrals.
-    """
-    if rows is None:
-        return float(_tanhsinh(g, b, epsabs, epsrel, (0,)))
-    return np.asarray(_tanhsinh(g, b, epsabs, epsrel, (np.arange(rows),)), dtype=float)
-
-
 def line_integral(f: Callable[[np.ndarray], np.ndarray], center: float = 0.0,
-                  scale: float = 1.0, epsabs: float = 1e-12, epsrel: float = 1e-12,
-                  rows: Optional[int] = None):
-    """Integral of the array integrand f over the real line, folded about center.
-
-    With rows = m, f returns (m, n) values on n points and the result is the
-    array of the m integrals; without, one value per point and a float.
-    """
+                  scale: float = 1.0, epsabs: float = 1e-12, epsrel: float = 1e-12) -> float:
+    """Integral of the array integrand f over the real line, folded about center."""
     _check_scale(scale)
 
-    def g(theta, row):
+    def g(theta):
         d, jac = _cot_radius(theta.ravel(), scale)
         fx = np.asarray(f(np.concatenate([center + d, center - d])), dtype=float)
-        fx = fx.reshape(-1, 2 * d.size)
-        folded = _own_row(fx[:, : d.size] + fx[:, d.size:], row, theta.shape)
-        return _weighted(folded, jac.reshape(theta.shape))
+        return _weighted(fx[: d.size] + fx[d.size:], jac).reshape(theta.shape)
 
-    return _integrate_rows(g, 0.5 * math.pi, epsabs, epsrel, rows)
+    return float(_tanhsinh(g, 0.5 * math.pi, epsabs, epsrel))
 
 
 def radial_integral(f_radial: Callable[[np.ndarray], np.ndarray], scale: float = 1.0,
-                    epsabs: float = 1e-12, epsrel: float = 1e-12, rows: Optional[int] = None):
-    """Integral over the plane of an isotropic f(r): 2 pi int r f(r) dr, r = scale cot(theta).
-
-    rows as for ``line_integral``.
-    """
+                    epsabs: float = 1e-12, epsrel: float = 1e-12) -> float:
+    """Integral over the plane of an isotropic f(r): 2 pi int r f(r) dr, r = scale cot(theta)."""
     _check_scale(scale)
 
-    def g(theta, row):
+    def g(theta):
         r, jac = _cot_radius(theta, scale)
-        fx = _own_row(f_radial(r.ravel()), row, theta.shape)
+        fx = np.asarray(f_radial(r.ravel()), dtype=float).reshape(theta.shape)
         return _weighted(fx, 2.0 * math.pi * r * jac)
 
-    return _integrate_rows(g, 0.5 * math.pi, epsabs, epsrel, rows)
+    return float(_tanhsinh(g, 0.5 * math.pi, epsabs, epsrel))
 
 
 def plane_integral(f: Callable[[np.ndarray], np.ndarray],
                    center: Sequence[float] = (0.0, 0.0), scale: float = 1.0,
-                   epsabs: float = 1e-10, epsrel: float = 1e-10, rows: Optional[int] = None):
-    """Integral of the array integrand f over the plane: polar angle, cot-substituted radius.
-
-    rows as for ``line_integral``; each inner radial integral is of one row
-    at one angle.
-    """
+                   epsabs: float = 1e-10, epsrel: float = 1e-10) -> float:
+    """Integral of the array integrand f over the plane: polar angle, cot-substituted radius."""
     _check_scale(scale)
     cx, cy = float(center[0]), float(center[1])
 
-    def radial(theta, c, s, row):
+    def radial(theta, c, s):
         r, jac = _cot_radius(theta, scale)
         pts = np.column_stack([(cx + r * c).ravel(), (cy + r * s).ravel()])
-        fx = _own_row(f(pts), row, theta.shape)
+        fx = np.asarray(f(pts), dtype=float).reshape(theta.shape)
         return _weighted(fx, r * jac)
 
-    def rings(phi, row):
+    def rings(phi):
         flat = phi.ravel()
-        own = np.broadcast_to(row, phi.shape).ravel()
         out = np.empty(flat.size)
         for start in range(0, flat.size, _RING_BLOCK):
             block = slice(start, start + _RING_BLOCK)
             out[block] = _tanhsinh(
                 radial, 0.5 * math.pi, 0.1 * epsabs, 0.1 * epsrel,
-                args=(np.cos(flat[block]), np.sin(flat[block]), own[block]),
+                args=(np.cos(flat[block]), np.sin(flat[block])),
             )
         return out.reshape(phi.shape)
 
-    return _integrate_rows(rings, 2.0 * math.pi, epsabs, epsrel, rows)
+    return float(_tanhsinh(rings, 2.0 * math.pi, epsabs, epsrel))
 
 
 def _pointwise(f):

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fap import ChannelGeometry, DriftVector
+from .fap import ChannelGeometry, DriftVector, _input_position
 
 __all__ = [
     "SimConfig",
@@ -312,14 +312,7 @@ def simulate_first_arrival(
     Deterministic for a fixed (seed, n_particles) regardless of worker count.
     A censored fraction above 20% flags the result and emits a warning.
     """
-    g = cfg.geometry
-    if x_in is None:
-        x_in = np.zeros(g.n_transverse)
-    x_in = np.atleast_1d(np.asarray(x_in, dtype=float))
-    if x_in.size != g.n_transverse:
-        raise ValueError(
-            f"input position has {x_in.size} coordinates, expected {g.n_transverse}"
-        )
+    x_in = _input_position(cfg.geometry, x_in)
 
     n = cfg.n_particles
     n_workers = effective_workers(workers)
@@ -370,13 +363,7 @@ def sample_exact_zero_drift(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if x_in is None:
-        x_in = np.zeros(g.n_transverse)
-    x_in = np.atleast_1d(np.asarray(x_in, dtype=float))
-    if x_in.size != g.n_transverse:
-        raise ValueError(
-            f"input position has {x_in.size} coordinates, expected {g.n_transverse}"
-        )
+    x_in = _input_position(g, x_in)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n)
     positions = rng.standard_normal((n, g.n_transverse))

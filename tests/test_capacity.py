@@ -30,6 +30,8 @@ from faplab.cauchy import (
     UnivariateCauchy,
     entropy_multivariate,
     entropy_univariate,
+    independent_sum,
+    isotropic_cauchy,
     sample_multivariate,
     sample_univariate,
 )
@@ -410,7 +412,7 @@ def test_dispersion_solve_work(law, spec, monkeypatch):
 )
 def test_profile_log_moment_and_slope_at_its_own_scale_match_quadrature(p, t, k):
     # The beta-prime rule at s = 1 is the closed form: L = w2(mu, p/2) and
-    # D = (p/2) / mu, against the quadrature rows.  mu runs
+    # D = (p/2) / mu, against the quadrature route.  mu runs
     # to 6 from p/2 + 0.05 on the line and from 1.08 in the plane, where the
     # radial quadrature falls short of 1e-12 nearer the pole (1.7e-11 off at
     # mu = 1.06, unconverged at 1.05).
@@ -419,22 +421,18 @@ def test_profile_log_moment_and_slope_at_its_own_scale_match_quadrature(p, t, k)
     prof = MaxentProfile(p, k, mu, ConstraintSpec(p).c)
     law = capacity_module._law(prof)
     L, D = capacity_module._log_moment_and_slope(prof, law, k)
-
-    def rows(f, r):
-        q = (r / k) ** 2
-        return np.stack([f * np.log1p(q), f * q / (1.0 + q)])
-
-    by_quad = law[3](rows, k, rows=2)
-    assert L == pytest.approx(by_quad[0], rel=1e-12)
-    assert D == pytest.approx(by_quad[1], rel=1e-12)
+    integrate = law[3]
+    assert L == pytest.approx(integrate(lambda f, r: f * np.log1p((r / k) ** 2), k), rel=1e-12)
+    assert D == pytest.approx(integrate(lambda f, r: f * (r / k) ** 2 / (1.0 + (r / k) ** 2), k),
+                              rel=1e-12)
     assert log_moment(prof, k) == L
 
 
 @pytest.mark.parametrize("p, mu", [(1, 3.5), (2, 4.0)])
 def test_dispersion_of_light_tailed_profile_solves_the_constraint(p, mu):
     # Lighter tails than Cauchy put the root well below k.  The log-moment
-    # at the root is integrated alone, apart from the (log-moment, slope)
-    # rows the solve ran on.
+    # at the root is integrated by quadrature, apart from the beta-prime
+    # rule the solve ran on.
     spec = ConstraintSpec(p)
     prof = MaxentProfile(p, 1.0, mu, spec.c)
     d = dispersion_of(prof, spec)
@@ -485,22 +483,33 @@ _RADIAL_CASES = {
     "diagonal_1e-11": ([0.0, 0.0], [[_S2, 0.0], [0.0, _S2 * (1.0 - 1e-11)]]),
     "off_diagonal_1e-13": ([0.0, 0.0], [[_S2, 1e-13 * _S2], [1e-13 * _S2, _S2]]),
     "3d_isotropic": ([0.0, 0.0, 0.0], np.diag([_S2, _S2, _S2]).tolist()),
+    # Off the origin, so for independent_sum only: the largest diagonal
+    # entry is the second.
+    "sum_1e-13_first_low": ([0.5, -0.2], [[_S2 * (1.0 - 1e-13), 0.0], [0.0, _S2]]),
+    "sum_1e-11_first_low": ([0.5, -0.2], [[_S2 * (1.0 - 1e-11), 0.0], [0.0, _S2]]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_RADIAL_CASES))
 def test_law_routes_only_central_isotropic_bivariate_cauchy_radially(case):
     # The decision is allclose(scale_matrix, s2 I, rtol=1e-12, atol=0), s2 the
-    # largest diagonal entry, for a central law in the plane.
+    # largest diagonal entry, for a central law in the plane; independent_sum
+    # makes the same isotropy decision wherever the law is centred.
     loc, sig = _RADIAL_CASES[case]
     law = MultivariateCauchy(np.array(loc), np.array(sig))
     s2 = float(np.max(np.diag(law.scale_matrix)))
-    expected = (law.dim == 2 and not np.any(law.location)
-                and np.allclose(law.scale_matrix, s2 * np.eye(law.dim), rtol=1e-12, atol=0.0))
+    isotropic = np.allclose(law.scale_matrix, s2 * np.eye(law.dim), rtol=1e-12, atol=0.0)
+    expected = law.dim == 2 and not np.any(law.location) and isotropic
     _, scale, radial, _, shape = capacity_module._law(law)
     assert radial is expected and (shape is not None) is expected
     assert scale == math.sqrt(s2)
     assert expected is (case in ("isotropic", "diagonal_1e-13_low", "diagonal_1e-13_high"))
+    if law.dim == 2 and isotropic:
+        total = isotropic_cauchy(2, 2.0 * math.sqrt(s2)).scale_matrix
+        assert np.array_equal(independent_sum(law, law).scale_matrix, total)
+    elif law.dim == 2:
+        with pytest.raises(ValueError, match="not isotropic"):
+            independent_sum(law, law)
 
 
 @pytest.mark.parametrize("y, spec", [(np.zeros(100), SPEC1), (np.zeros((100, 2)), SPEC2)],
@@ -651,12 +660,13 @@ def test_knn_distances_equal_a_plain_tree_query(d):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_entropy_knn_rejects_non_finite_samples(bad, dim):
+@pytest.mark.parametrize("dim, method", [(1, "knn"), (2, "knn"), (1, "histogram_transformed")],
+                         ids=["1", "2", "histogram_transformed"])
+def test_entropy_knn_rejects_non_finite_samples(bad, dim, method):
     samples = sample_univariate(UnivariateCauchy(0.0, 1.0), 5000 * dim, seed=4).reshape(5000, dim)
     samples[17, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        entropy_estimate(samples[:, 0] if dim == 1 else samples, "knn")
+        entropy_estimate(samples[:, 0] if dim == 1 else samples, method)
 
 
 def test_entropy_unnormalized_pdf_rejected():

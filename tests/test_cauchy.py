@@ -44,6 +44,14 @@ def test_invalid_parameters_rejected():
         MultivariateCauchy([0.0, 0.0], [[1.0, 0.3], [0.0, 1.0]])  # not symmetric
     with pytest.raises(ValueError):
         MultivariateCauchy([0.0], np.eye(2))  # shape mismatch
+    with pytest.raises(ValueError, match="scale must be > 0"):
+        UnivariateCauchy(0.0, math.inf)
+    with pytest.raises(ValueError, match="location must be finite"):
+        MultivariateCauchy([math.nan, 0.0], np.eye(2))
+    with pytest.raises(ValueError, match="scale matrix must be finite"):
+        MultivariateCauchy([0.0, 0.0], [[math.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="location must be finite"):
+        isotropic_cauchy(2, 1.0, [math.nan, 0.0])
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])

@@ -27,7 +27,7 @@ from faplab.quadrature import (
     plane_integral,
     radial_integral,
 )
-from faplab.verify import _arrival_mass_by_quadrature
+from faplab.verify import _arrival_mass_by_quadrature, run_checks
 
 
 def test_non_integrable_integrand_raises_with_its_work():
@@ -87,30 +87,6 @@ def _aniso(pts):
     # Anisotropic bivariate Cauchy density with scale matrix diag(4, 1), off center.
     u, w = (pts[:, 0] - 0.5) / 2.0, pts[:, 1] + 0.2
     return (1.0 + u * u + w * w) ** -1.5 / (4.0 * math.pi)
-
-
-@pytest.mark.parametrize(
-    "core, f, kwargs",
-    [
-        (line_integral, lambda y: pdf_univariate(UnivariateCauchy(0.3, 1.7), y),
-         {"center": 0.3, "scale": 1.7}),
-        (radial_integral, lambda r: pdf_multivariate(isotropic_cauchy(2, 0.7),
-                                                     np.column_stack([r, np.zeros_like(r)])),
-         {"scale": 0.7}),
-        (plane_integral, _aniso, {"center": (0.5, -0.2), "scale": 2.0}),
-    ],
-    ids=["line", "radial", "plane"],
-)
-def test_rows_integrate_as_their_single_row_calls(core, f, kwargs):
-    # Rows are elements of one tanhsinh call that converge on their own, so
-    # each equals the integral of that row alone.
-    def q(y):
-        return y * y if y.ndim == 1 else y[:, 0] ** 2 + y[:, 1] ** 2
-
-    parts = (f, lambda y: f(y) * np.log1p(q(y)), lambda y: f(y) / (1.0 + q(y)))
-    rows = core(lambda y: np.stack([h(y) for h in parts]), rows=3, **kwargs)
-    assert rows.shape == (3,)
-    assert list(rows) == [core(h, **kwargs) for h in parts]
 
 
 def test_scalar_callable_may_overflow_python_float_arithmetic():
@@ -187,3 +163,17 @@ def test_law_quadrature_fallback_is_pinned(name):
 def test_arrival_mass_by_quadrature_is_pinned(geometry, drift, pinned):
     g, v = fap.ChannelGeometry(*geometry), fap.DriftVector(*drift)
     assert _arrival_mass_by_quadrature(g, v).hex() == pinned
+
+
+@pytest.mark.parametrize("name", [
+    "cauchy/normalization_univariate",
+    "cauchy/normalization_bivariate",
+    "cauchy/entropy_quadrature_univariate",
+    "cauchy/entropy_quadrature_bivariate",
+    "fap/marginal_3d_to_2d",
+    "fap/arrival_probability_zero_drift",
+    "capacity/closed_form_log_moments",
+])
+def test_verify_quadrature_cross_check_passes(name):
+    results = run_checks(only=name, quick=True)
+    assert len(results) == 1 and results[0].name == name and results[0].passed, results

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faplab.cauchy import UnivariateCauchy, cdf_univariate
-from faplab.fap import ChannelGeometry, DriftVector, arrival_probability
+from faplab.fap import ChannelGeometry, DriftVector, arrival_probability, zero_drift_reduction
 from faplab.sim import (
     SimConfig,
     _bridge_points,
@@ -49,6 +49,27 @@ def test_config_counts_must_be_integers(field):
 def test_config_rejects_non_finite_dt(dt):
     with pytest.raises(ValueError, match="finite"):
         SimConfig(G2, DriftVector(0.0, 0.0), dt=dt)
+
+
+_ENTRIES = {
+    "zero_drift_reduction": zero_drift_reduction,
+    "simulate_first_arrival": lambda g, x: simulate_first_arrival(
+        SimConfig(g, DriftVector.zero(g.dimension), n_particles=10), x_in=x),
+    "sample_exact_zero_drift": lambda g, x: sample_exact_zero_drift(g, x_in=x, n=10),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("g, x_in, match", [
+    (G2, math.nan, "input position must be finite"),
+    (G2, math.inf, "input position must be finite"),
+    (G3, (math.nan, 0.0), "input position must be finite"),
+    (G3, 0.5, "input position has 1 coordinates, expected 2"),
+], ids=["2d_nan", "2d_inf", "3d_nan", "3d_count"])
+def test_input_position_is_checked(entry, g, x_in, match):
+    # Every entry point that takes an input position checks it the same way.
+    with pytest.raises(ValueError, match=match):
+        _ENTRIES[entry](g, x_in)
 
 
 @pytest.mark.parametrize("cap", ["abc", "0", "-2", "1.5"])
