@@ -41,12 +41,8 @@ from .cauchy import (
     Degenerate,
     MultivariateCauchy,
     UnivariateCauchy,
-    entropy_multivariate,
-    entropy_univariate,
     independent_sum,
     isotropic_cauchy,
-    pdf_multivariate,
-    pdf_univariate,
 )
 from .fap import ChannelGeometry, zero_drift_reduction
 from .quadrature import line_integral, plane_integral, radial_integral
@@ -131,8 +127,11 @@ class GaussianSpec:
     variance: float
 
     def __post_init__(self) -> None:
-        if self.variance < 0.0:
-            raise ValueError("variance must be >= 0")
+        if not 0.0 <= self.variance < math.inf:
+            raise ValueError(f"variance must be >= 0 and finite, got {self.variance}")
+
+    def to_dict(self) -> dict:
+        return {"family": "gaussian", "variance": self.variance}
 
 
 @dataclass(frozen=True)
@@ -157,6 +156,18 @@ class MaxentProfile:
     k: float
     mu: float
     target: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(f"k must be > 0 and finite, got {self.k}")
+        if not 0.5 * self.p < self.mu < math.inf:
+            raise ValueError(f"mu must be > p/2 = {0.5 * self.p} and finite, got {self.mu}")
+        if not math.isfinite(self.target):
+            raise ValueError(f"target must be finite, got {self.target}")
+
+    @property
+    def dim(self) -> int:
+        return self.p
 
     @cached_property
     def log_norm(self) -> float:
@@ -193,7 +204,7 @@ class MaxentProfile:
 
 
 def _law(obj):
-    """(dim, scale, radial, integrate, shape) for a law with a density; None otherwise.
+    """(dim, scale, radial, integrate, shape) for a law with ``dim`` and ``pdf``; None otherwise.
 
     This is the one quadrature route for laws.  integrate(h, extra=0.0) is
     the integral over R^dim of h(f(y), ||y||) for the law's density f, with
@@ -209,24 +220,23 @@ def _law(obj):
     law, density (1 + ||y/scale||^2)^(-(a + b)) / Z on R^(2a), with ln_z()
     giving ln Z; then ||Y/scale||^2 ~ beta-prime(a, b).  None otherwise.
     """
+    pdf = getattr(obj, "pdf", None)
+    if pdf is None:
+        return None
+    dim, radial, shape = obj.dim, False, None
     if isinstance(obj, UnivariateCauchy):
-        dim, center, scale, radial, shape = 1, obj.location, obj.scale, False, None
-        pdf = lambda y: pdf_univariate(obj, y)
+        center, scale = obj.location, obj.scale
     elif isinstance(obj, MultivariateCauchy):
-        dim, center, pdf = obj.dim, obj.location, lambda y: pdf_multivariate(obj, y)
         s2, isotropic = obj._isotropy()
-        scale = math.sqrt(s2)
+        center, scale = obj.location, math.sqrt(s2)
         radial = dim == 2 and not obj.location.any() and isotropic
         # ln Z is read only when asked: the Cauchy constant loads scipy.special.
         shape = (1.0, 0.5, lambda: -obj.log_norm) if radial else None
     elif isinstance(obj, MaxentProfile):
-        dim, center, scale, radial, pdf = obj.p, 0.0, obj.k, obj.p == 2, obj.pdf
-        shape = 0.5 * obj.p, obj.mu - 0.5 * obj.p, lambda: obj.log_norm
-    elif isinstance(obj, CustomDensity):
-        dim, center, scale, radial, pdf = obj.dim, obj.center, obj.scale, False, obj.pdf
-        shape = None
-    else:
-        return None
+        center, scale, radial = 0.0, obj.k, dim == 2
+        shape = 0.5 * dim, obj.mu - 0.5 * dim, lambda: obj.log_norm
+    else:  # CustomDensity
+        center, scale = obj.center, obj.scale
 
     def integrate(h: Callable[[np.ndarray, np.ndarray], np.ndarray], extra: float = 0.0) -> float:
         s = scale + min(extra, scale)
@@ -349,11 +359,12 @@ def _beta_prime_entropy(a: float, b: float, k0: float, ln_z: float):
     return ln_z * mass + (a + b) * unit * (w @ np.logaddexp(0.0, t) + tail * t_tail), mass
 
 
-def _log_moment_and_slope(obj, law, k: float):
+def _log_moment_and_slope(obj, law, k: float, slope: bool = True):
     """(L, D) at k: L = E ln(1 + q) and its slope D = E[q / (1 + q)] = -(1/2) dL/d ln k.
 
     q = ||Y/k||^2, for (obj, law) from ``_norms_or_law``, by the routes of
-    ``log_moment``.
+    ``log_moment``.  With slope False the quadrature route skips D's
+    integral and returns D = nan.
     """
     if law is None:
         with np.errstate(over="ignore"):
@@ -368,13 +379,17 @@ def _log_moment_and_slope(obj, law, k: float):
     _, scale, _, integrate, shape = law
     if isinstance(obj, UnivariateCauchy):
         u, v = scale / k, obj.location / k
+        if max(u, abs(v)) > 1e150:
+            # L = ln((1 + u)^2 + v^2), whose square overflows past about 1e154;
+            # D = 1 - (1 + u) / ((1 + u)^2 + v^2) is within 1e-150 of 1 here.
+            return 2.0 * math.log(math.hypot(1.0 + u, v)), 1.0
         D = (u * (u + 1.0) + v * v) / ((u + 1.0) ** 2 + v * v)
         return math.log1p(u * (u + 2.0) + v * v), D
     if shape is not None:
         # ln s = 2 ln(k0/k) stays finite where s underflows.
         return _beta_prime_moments(shape[0], shape[1], 2.0 * (math.log(scale) - math.log(k)))
     L = integrate(lambda f, r: f * np.log1p((r / k) ** 2), k)
-    return L, integrate(lambda f, r: f * _ratio((r / k) ** 2), k)
+    return L, integrate(lambda f, r: f * _ratio((r / k) ** 2), k) if slope else math.nan
 
 
 def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
@@ -389,7 +404,7 @@ def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
     if not k > 0.0:
         raise ValueError(f"k must be > 0, got {k}")
     obj, law, unit = _norms_or_law(dist_or_samples, p)
-    return _log_moment_and_slope(obj, law, k / unit)[0]
+    return _log_moment_and_slope(obj, law, k / unit, slope=False)[0]
 
 
 _LN10 = math.log(10.0)
@@ -459,7 +474,7 @@ def feasibility(
     rel_tol: float = 1e-9,
 ) -> bool:
     """Whether the signal's dispersion lies in [noise scale, A]."""
-    level = A.A if isinstance(A, DispersionLevel) else float(A)
+    level = (A if isinstance(A, DispersionLevel) else DispersionLevel(float(A))).A
     if level < g.lam:
         raise InfeasibleError(
             f"dispersion level {level} below noise floor {g.lam}"
@@ -583,29 +598,16 @@ def entropy_estimate(dist_or_samples, method: str = "quadrature") -> EntropyEsti
     raise ValueError(f"unknown entropy method: {method}")
 
 
-def _closed_form_entropy(dist) -> float:
-    if isinstance(dist, UnivariateCauchy):
-        return entropy_univariate(dist)
-    if isinstance(dist, MultivariateCauchy):
-        return entropy_multivariate(dist)
-    raise TypeError(f"no closed-form entropy for {type(dist).__name__}")
-
-
 def mutual_information(input_dist, g: ChannelGeometry) -> float:
     """I(X;Y) = h(Y) - h(N) for the zero-drift additive channel of geometry g.
 
     The output law comes from the Cauchy sum closure, so the input must be a
-    central univariate Cauchy (2D), a central isotropic bivariate Cauchy
-    (3D), or a point mass at the origin.
+    univariate Cauchy law (2D), an isotropic bivariate Cauchy law (3D), or a
+    point mass of the channel's dimension, each centred anywhere: the input's
+    location shifts the output and leaves the entropies unchanged.
     """
     noise = zero_drift_reduction(g)
-    if isinstance(input_dist, Degenerate):
-        loc = np.atleast_1d(np.asarray(input_dist.location, dtype=float))
-        if np.any(loc != 0.0):
-            raise ValueError("point-mass input must sit at the origin")
-        return 0.0
-    out = independent_sum(input_dist, noise)
-    return _closed_form_entropy(out) - _closed_form_entropy(noise)
+    return independent_sum(input_dist, noise).entropy() - noise.entropy()
 
 
 @dataclass(frozen=True)
@@ -627,27 +629,10 @@ class CapacityResult:
             "A": self.dispersion_level,
             floor_key: self.floor,
             "capacity": self.capacity,
-            "achieving_output": _spec_dict(self.achieving_output),
-            "achieving_input": _spec_dict(self.achieving_input),
+            "achieving_output": self.achieving_output.to_dict(),
+            "achieving_input": self.achieving_input.to_dict(),
             "note": self.note,
         }
-
-
-def _spec_dict(dist) -> dict:
-    if isinstance(dist, UnivariateCauchy):
-        return {"family": "cauchy", "location": dist.location, "scale": dist.scale}
-    if isinstance(dist, MultivariateCauchy):
-        return {
-            "family": "bivariate_cauchy",
-            "location": [float(c) for c in dist.location],
-            "scale_matrix": [[float(v) for v in row] for row in dist.scale_matrix],
-        }
-    if isinstance(dist, Degenerate):
-        loc = np.atleast_1d(np.asarray(dist.location, dtype=float))
-        return {"family": "point_mass", "location": [float(c) for c in loc]}
-    if isinstance(dist, GaussianSpec):
-        return {"family": "gaussian", "variance": dist.variance}
-    raise TypeError(f"cannot serialize {type(dist).__name__}")
 
 
 def _log_ratio(a: float, b: float) -> float:

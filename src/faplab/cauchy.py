@@ -1,7 +1,10 @@
 """Univariate and multivariate Cauchy distributions.
 
-Densities, closed-form differential entropies (in nats), exact samplers,
-and the closure rules this package relies on: independent sums of central
+Each law class carries its density, closed-form differential entropy (in
+nats), exact sampler and JSON form as the methods ``pdf``, ``entropy``,
+``sample`` and ``to_dict``; ``pdf_univariate``, ``sample_multivariate`` and
+the like are those methods under module-level names.  The module also
+holds the closure rules this package relies on: independent sums of central
 isotropic Cauchy variables stay Cauchy with added scales, and linear
 combinations of a Cauchy vector's components are univariate Cauchy.
 """
@@ -44,12 +47,39 @@ class UnivariateCauchy:
 
     location: float = 0.0
     scale: float = 1.0
+    dim = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
         if not math.isfinite(self.location):
             raise ValueError("location must be finite")
+
+    def pdf(self, x):
+        """Density (1/(pi gamma)) / (1 + ((x - x0)/gamma)^2); vectorized in x."""
+        x = np.asarray(x, dtype=float)
+        u = (x - self.location) / self.scale
+        return 1.0 / (math.pi * self.scale * (1.0 + u * u))
+
+    def entropy(self) -> float:
+        """Differential entropy ln(4 pi gamma) in nats; independent of location."""
+        return math.log(4.0 * math.pi) + math.log(self.scale)
+
+    def sample(self, n: int, seed: int) -> np.ndarray:
+        """n i.i.d. draws via the inverse CDF x0 + gamma tan(pi (U - 1/2))."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        rng = np.random.default_rng(seed)
+        u = rng.random(n)
+        u -= 0.5
+        u *= math.pi
+        np.tan(u, out=u)
+        u *= self.scale
+        u += self.location
+        return u
+
+    def to_dict(self) -> dict:
+        return {"family": "cauchy", "location": self.location, "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -114,6 +144,51 @@ class MultivariateCauchy:
             raise ValueError("scale matrix is not isotropic diagonal")
         return math.sqrt(s2)
 
+    def pdf(self, x):
+        """p-variate Cauchy density; x is a length-p vector or an (n, p) array."""
+        x = np.asarray(x, dtype=float)
+        squeeze = x.ndim == 1
+        pts = np.atleast_2d(x)
+        p = self.dim
+        if pts.shape[1] != p:
+            raise ValueError(f"points have dimension {pts.shape[1]}, expected {p}")
+        delta = pts - self.location
+        # Quadratic form through the Cholesky factor: q = ||L^-1 (x - mu)||^2, by
+        # forward substitution over all points at once, so that a point's value
+        # does not depend on how many points are evaluated with it.
+        w = np.empty_like(delta)
+        for i in range(p):
+            w[:, i] = (delta[:, i] - w[:, :i] @ self._chol[i, :i]) / self._chol[i, i]
+        q = np.sum(w * w, axis=1)
+        out = np.exp(self.log_norm - 0.5 * (1 + p) * np.log1p(q))
+        return float(out[0]) if squeeze else out
+
+    def entropy(self) -> float:
+        """Differential entropy (1/2) ln|Sigma| + phi(p) in nats."""
+        log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+        return 0.5 * log_det + phi_constant(self.dim)
+
+    def sample(self, n: int, seed: int) -> np.ndarray:
+        """n draws via mu + L (G / |Z|) with L L^T = Sigma, G Gaussian, Z independent Gaussian."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, self.dim))
+        z = rng.standard_normal(n)
+        g /= np.abs(z, out=z)[:, None]
+        # The sum goes to a fresh array, not into the product.  Summed in place,
+        # a 1e6-draw output changed where glibc's heap put the large arrays made
+        # after it, and the KD-tree entropy that follows in perfbench's
+        # capacity_samples faulted in ~6,000 fresh pages on every round.
+        return self.location + g @ self._chol.T
+
+    def to_dict(self) -> dict:
+        return {
+            "family": "bivariate_cauchy",
+            "location": [float(c) for c in self.location],
+            "scale_matrix": [[float(v) for v in row] for row in self.scale_matrix],
+        }
+
 
 @dataclass(frozen=True)
 class Degenerate:
@@ -125,6 +200,10 @@ class Degenerate:
     def dim(self) -> int:
         loc = np.atleast_1d(np.asarray(self.location, dtype=float))
         return loc.size
+
+    def to_dict(self) -> dict:
+        loc = np.atleast_1d(np.asarray(self.location, dtype=float))
+        return {"family": "point_mass", "location": [float(c) for c in loc]}
 
 
 CauchyParams = Union[UnivariateCauchy, MultivariateCauchy, Degenerate]
@@ -153,42 +232,10 @@ def isotropic_cauchy(
     return MultivariateCauchy(loc, s2 * np.eye(p))
 
 
-def pdf_univariate(d: UnivariateCauchy, x):
-    """Density (1/(pi gamma)) / (1 + ((x - x0)/gamma)^2); vectorized in x."""
-    x = np.asarray(x, dtype=float)
-    u = (x - d.location) / d.scale
-    return 1.0 / (math.pi * d.scale * (1.0 + u * u))
-
-
 def cdf_univariate(d: UnivariateCauchy, x):
     """Distribution function 1/2 + arctan((x - x0)/gamma)/pi; vectorized in x."""
     x = np.asarray(x, dtype=float)
     return 0.5 + np.arctan((x - d.location) / d.scale) / math.pi
-
-
-def pdf_multivariate(d: MultivariateCauchy, x):
-    """p-variate Cauchy density; x is a length-p vector or an (n, p) array."""
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    pts = np.atleast_2d(x)
-    p = d.dim
-    if pts.shape[1] != p:
-        raise ValueError(f"points have dimension {pts.shape[1]}, expected {p}")
-    delta = pts - d.location
-    # Quadratic form through the Cholesky factor: q = ||L^-1 (x - mu)||^2, by
-    # forward substitution over all points at once, so that a point's value
-    # does not depend on how many points are evaluated with it.
-    w = np.empty_like(delta)
-    for i in range(p):
-        w[:, i] = (delta[:, i] - w[:, :i] @ d._chol[i, :i]) / d._chol[i, i]
-    q = np.sum(w * w, axis=1)
-    out = np.exp(d.log_norm - 0.5 * (1 + p) * np.log1p(q))
-    return float(out[0]) if squeeze else out
-
-
-def entropy_univariate(d: UnivariateCauchy) -> float:
-    """Differential entropy ln(4 pi gamma) in nats; independent of location."""
-    return math.log(4.0 * math.pi) + math.log(d.scale)
 
 
 def phi_constant(p: int) -> float:
@@ -209,39 +256,12 @@ def phi_constant(p: int) -> float:
     )
 
 
-def entropy_multivariate(d: MultivariateCauchy) -> float:
-    """Differential entropy (1/2) ln|Sigma| + phi(p) in nats."""
-    log_det = 2.0 * float(np.sum(np.log(np.diag(d._chol))))
-    return 0.5 * log_det + phi_constant(d.dim)
-
-
-def sample_univariate(d: UnivariateCauchy, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws via the inverse CDF x0 + gamma tan(pi (U - 1/2))."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    u -= 0.5
-    u *= math.pi
-    np.tan(u, out=u)
-    u *= d.scale
-    u += d.location
-    return u
-
-
-def sample_multivariate(d: MultivariateCauchy, n: int, seed: int) -> np.ndarray:
-    """n draws via mu + L (G / |Z|) with L L^T = Sigma, G Gaussian, Z independent Gaussian."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, d.dim))
-    z = rng.standard_normal(n)
-    g /= np.abs(z, out=z)[:, None]
-    # The sum goes to a fresh array, not into the product.  Summed in place,
-    # a 1e6-draw output changed where glibc's heap put the large arrays made
-    # after it, and the KD-tree entropy that follows in perfbench's
-    # capacity_samples faulted in ~6,000 fresh pages on every round.
-    return d.location + g @ d._chol.T
+pdf_univariate = UnivariateCauchy.pdf
+entropy_univariate = UnivariateCauchy.entropy
+sample_univariate = UnivariateCauchy.sample
+pdf_multivariate = MultivariateCauchy.pdf
+entropy_multivariate = MultivariateCauchy.entropy
+sample_multivariate = MultivariateCauchy.sample
 
 
 def _as_central_isotropic(d: CauchyParams):

@@ -133,15 +133,8 @@ def _check_entropy_quad(p: int, scales, bound: str, quick: bool):
     for g in scales:
         d = cy.isotropic_cauchy(p, g)
         est = cap.entropy_estimate(d, "quadrature").value
-        worst = max(worst, abs(est - cap._closed_form_entropy(d)))
+        worst = max(worst, abs(est - d.entropy()))
     return worst <= tol, f"worst quadrature-vs-closed-form gap {worst:.2e} (tol {bound})"
-
-
-def _sample(d, n: int, seed: int) -> np.ndarray:
-    """n exact draws from an isotropic Cauchy law: a vector for p = 1, (n, p) rows otherwise."""
-    if isinstance(d, cy.UnivariateCauchy):
-        return cy.sample_univariate(d, n, seed)
-    return cy.sample_multivariate(d, n, seed)
 
 
 def _check_sum_closure(p: int, seed: int, quick: bool):
@@ -152,9 +145,9 @@ def _check_sum_closure(p: int, seed: int, quick: bool):
     worst = 0.0
     for i, (s, t) in enumerate([(1.0, 2.0), (0.3, 0.7), (5.0, 0.1)]):
         du, dv = cy.isotropic_cauchy(p, s), cy.isotropic_cauchy(p, t)
-        u = _sample(du, n, seed=seed + i)
-        v = _sample(dv, n, seed=seed + 100 + i)
-        direct = _sample(cy.independent_sum(du, dv), n, seed=seed + 200 + i)
+        u = du.sample(n, seed=seed + i)
+        v = dv.sample(n, seed=seed + 100 + i)
+        direct = cy.independent_sum(du, dv).sample(n, seed=seed + 200 + i)
         summed = u + v
         pairs = [(summed.reshape(n, p)[:, 0], direct.reshape(n, p)[:, 0])]
         if p > 1:
@@ -164,7 +157,7 @@ def _check_sum_closure(p: int, seed: int, quick: bool):
 
 
 def _check_entropy_scaling(quick: bool):
-    entropy = lambda p, scale: cap._closed_form_entropy(cy.isotropic_cauchy(p, scale))
+    entropy = lambda p, scale: cy.isotropic_cauchy(p, scale).entropy()
     worst = 0.0
     for c in (0.5, 2.0, 10.0):
         g0 = 0.7
@@ -188,11 +181,8 @@ def _sup_gap(dim: int, speed: float, outputs) -> float:
     pts = np.column_stack([outputs, np.zeros((len(outputs), p - 1))])
     drift = fap.DriftVector(*[0.0] * p, speed)
     drifted = fap.fap_density(g, drift, np.zeros(p), pts)
-    law = fap.zero_drift_reduction(g)
-    if isinstance(law, cy.UnivariateCauchy):
-        limit = cy.pdf_univariate(law, outputs)
-    else:
-        limit = cy.pdf_multivariate(law, pts)
+    # The line's density keeps the (n, 1) shape of pts: ravel it.
+    limit = fap.zero_drift_reduction(g).pdf(pts).ravel()
     return float(np.max(np.abs(drifted - limit)))
 
 
@@ -527,7 +517,7 @@ def _check_closed_form_log_moments(quick: bool):
 def _capacity_formula_chain(p: int, A: float, quick: bool):
     spec = cap.ConstraintSpec(p)
     achieving = cy.isotropic_cauchy(p, A)
-    h_star = cap._closed_form_entropy(achieving)
+    h_star = achieving.entropy()
     disp_err = abs(cap.dispersion_of(achieving, spec) - A)
     mus = np.concatenate([np.linspace(0.5 * p + 0.15, 0.5 * p + 0.45, 3),
                           np.linspace(0.5 * p + 0.5, 0.5 * p + 3.0, 6 if quick else 12)])
@@ -553,8 +543,8 @@ def _check_knn_consistency(quick: bool):
     gaps = []
     for p, seed in ((1, 31), (2, 32)):
         d = cy.isotropic_cauchy(p, 2.0)
-        est = cap.entropy_estimate(_sample(d, n, seed), "knn")
-        gaps.append((abs(est.value - cap._closed_form_entropy(d)), 3.0 * est.std_error))
+        est = cap.entropy_estimate(d.sample(n, seed), "knn")
+        gaps.append((abs(est.value - d.entropy()), 3.0 * est.std_error))
     ok = all(gap <= band for gap, band in gaps)
     detail = ", ".join(f"{gap:.4f} (3se {band:.4f})" for gap, band in gaps)
     return ok, f"knn gaps {detail} at n={n}"

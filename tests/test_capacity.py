@@ -112,6 +112,35 @@ def test_log_moment_rejects_bad_k():
         log_moment(UnivariateCauchy(0.0, 1.0), 0.0)
 
 
+def _cauchy_log_moment_by_mpmath(x0: float, gamma: float, k: float) -> float:
+    """ln(((gamma + k)^2 + x0^2) / k^2) at the float arguments, by mpmath at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x0, gamma, k = mp.mpf(x0), mp.mpf(gamma), mp.mpf(k)
+        return float(mp.log(((gamma + k) ** 2 + x0**2) / k**2))
+
+
+# The closed form squares gamma/k and x0/k: past about 1e154 the square
+# overflows, and the log-moment is taken from their hypotenuse instead.
+@pytest.mark.parametrize("x0, gamma, k", [
+    (0.0, 1.0, 1.0), (2.0, 0.5, 0.3), (-3.0, 1.7, 40.0), (0.0, 1.0, 1e-150),
+    (0.0, 1.0, 1e-160), (0.0, 1.0, 1e-300), (1e200, 1.0, 1.0), (-2e150, 3.0, 1.5),
+])
+def test_cauchy_log_moment_matches_mpmath(x0, gamma, k):
+    want = _cauchy_log_moment_by_mpmath(x0, gamma, k)
+    assert log_moment(UnivariateCauchy(x0, gamma), k) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+# Roots near 4.5e-157 and 1e200 / sqrt(3), where the slope D is 1 and 3/4:
+# the log-moment at the root is held against the target.
+@pytest.mark.parametrize("x0, target", [(0.0, 720.0), (1e200, None)])
+def test_cauchy_dispersion_past_the_square_meets_the_constraint(x0, target):
+    spec = ConstraintSpec(1, target)
+    d = dispersion_of(UnivariateCauchy(x0, 1.0), spec)
+    assert _cauchy_log_moment_by_mpmath(x0, 1.0, d) == pytest.approx(spec.c, rel=1e-15, abs=0.0)
+
+
 # dispersion ---------------------------------------------------------------------
 
 
@@ -595,6 +624,31 @@ def test_feasibility_below_floor_errors():
         feasibility(UnivariateCauchy(0.0, 1.0), 0.5, g, SPEC1)
 
 
+_C1 = ConstraintSpec(1).c
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: MaxentProfile(1, 0.0, 1.0, _C1), "k must be > 0"),
+    (lambda: MaxentProfile(1, -1.0, 1.0, _C1), "k must be > 0"),
+    (lambda: MaxentProfile(1, math.nan, 1.0, _C1), "k must be > 0"),
+    (lambda: MaxentProfile(1, 1.0, 0.4, _C1), "mu must be > p/2"),
+    (lambda: MaxentProfile(2, 1.0, 1.0, _C1), "mu must be > p/2"),
+    (lambda: MaxentProfile(1, 1.0, math.inf, _C1), "mu must be > p/2"),
+    (lambda: MaxentProfile(1, 1.0, 1.0, math.nan), "target must be finite"),
+    (lambda: maxent_profile(SPEC1, math.inf), "k must be > 0"),
+    (lambda: GaussianSpec(math.nan), "variance must be >= 0"),
+    (lambda: GaussianSpec(math.inf), "variance must be >= 0"),
+    (lambda: GaussianSpec(-1.0), "variance must be >= 0"),
+    (lambda: feasibility(UnivariateCauchy(0.0, 1.0), math.nan, ChannelGeometry(2), SPEC1),
+     "dispersion level must be > 0"),
+], ids=["profile_k_0", "profile_k_negative", "profile_k_nan", "profile_mu_below_pole",
+        "profile_mu_at_pole", "profile_mu_inf", "profile_target_nan", "maxent_k_inf",
+        "gaussian_nan", "gaussian_inf", "gaussian_negative", "feasibility_level_nan"])
+def test_law_parameters_are_checked(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 # entropy estimation ---------------------------------------------------------------
 
 
@@ -697,6 +751,9 @@ def test_mutual_information_2d():
 
 def test_mutual_information_degenerate_input():
     assert mutual_information(Degenerate(0.0), ChannelGeometry(2, 1.0, 1.0)) == 0.0
+    # A point mass anywhere carries nothing: it only shifts the output.
+    assert mutual_information(Degenerate(2.5), ChannelGeometry(2, 1.3, 1.0)) == 0.0
+    assert mutual_information(Degenerate([0.5, -1.0]), ChannelGeometry(3, 1.3, 1.0)) == 0.0
 
 
 def test_mutual_information_3d():
@@ -709,6 +766,8 @@ def test_mutual_information_rejects_mismatched_family():
     g = ChannelGeometry(3, 1.0, 1.0)
     with pytest.raises(ValueError):
         mutual_information(UnivariateCauchy(0.0, 1.0), g)
+    with pytest.raises(ValueError, match="different dimensions"):
+        mutual_information(Degenerate([0.0, 0.0]), ChannelGeometry(2, 1.0, 1.0))
 
 
 # closed-form capacities ---------------------------------------------------------------

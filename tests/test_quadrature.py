@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from faplab import fap
+from faplab import capacity, fap, quadrature
 from faplab.capacity import (
     ConstraintSpec,
     CustomDensity,
@@ -152,6 +152,20 @@ def test_law_quadrature_fallback_is_pinned(name):
     assert tuple(v.hex() for v in got) == pinned
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_LAWS))
+def test_log_moment_on_the_fallback_is_one_integral(name, monkeypatch):
+    # log_moment needs no slope: it costs the tanhsinh calls of its one integral.
+    law = PINNED_LAWS[name][0]
+    calls = []
+    real = quadrature._tanhsinh
+    monkeypatch.setattr(quadrature, "_tanhsinh", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    capacity._law(law)[3](lambda f, r: f * np.log1p((r / 3.0) ** 2), 3.0)
+    one = len(calls)
+    calls.clear()
+    log_moment(law, 3.0)
+    assert 0 < len(calls) == one
+
+
 # Arrival mass on the line (2D, drift (0.8, 0.75)) and radially (3D, drift
 # (0, 0, 0.75)); the plane is pinned through the bivariate laws above.
 @pytest.mark.parametrize(
@@ -170,9 +184,25 @@ def test_arrival_mass_by_quadrature_is_pinned(geometry, drift, pinned):
     "cauchy/normalization_bivariate",
     "cauchy/entropy_quadrature_univariate",
     "cauchy/entropy_quadrature_bivariate",
+    "cauchy/sum_closure_univariate",
+    "cauchy/sum_closure_bivariate",
+    "cauchy/entropy_scaling",
+    "fap/zero_drift_limit_2d",
+    "fap/zero_drift_limit_3d",
+    "fap/translation_covariance",
+    "fap/positivity",
     "fap/marginal_3d_to_2d",
     "fap/arrival_probability_zero_drift",
+    "capacity/log_moment_monotone",
+    "capacity/dispersion_homogeneity",
+    "capacity/dispersion_identity",
     "capacity/closed_form_log_moments",
+    "capacity/entropy_maximizer_2d",
+    "capacity/entropy_maximizer_3d",
+    "capacity/knn_consistency",
+    "capacity/capacity_endpoint",
+    "capacity/maxent_certification",
+    "capacity/table_columns",
 ])
 def test_verify_quadrature_cross_check_passes(name):
     results = run_checks(only=name, quick=True)
