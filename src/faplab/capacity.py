@@ -380,9 +380,10 @@ def _log_moment_and_slope(obj, law, k: float, slope: bool = True):
     if isinstance(obj, UnivariateCauchy):
         u, v = scale / k, obj.location / k
         if max(u, abs(v)) > 1e150:
-            # L = ln((1 + u)^2 + v^2), whose square overflows past about 1e154;
-            # D = 1 - (1 + u) / ((1 + u)^2 + v^2) is within 1e-150 of 1 here.
-            return 2.0 * math.log(math.hypot(1.0 + u, v)), 1.0
+            # L = ln(((gamma + k)^2 + x0^2) / k^2), whose squares overflow past
+            # about 1e154 (and u itself for subnormal k); D = 1 - (1 + u) /
+            # ((1 + u)^2 + v^2) is within 1e-150 of 1 here.
+            return 2.0 * (math.log(math.hypot(scale + k, obj.location)) - math.log(k)), 1.0
         D = (u * (u + 1.0) + v * v) / ((u + 1.0) ** 2 + v * v)
         return math.log1p(u * (u + 2.0) + v * v), D
     if shape is not None:

@@ -122,10 +122,12 @@ def _cauchy_log_moment_by_mpmath(x0: float, gamma: float, k: float) -> float:
 
 
 # The closed form squares gamma/k and x0/k: past about 1e154 the square
-# overflows, and the log-moment is taken from their hypotenuse instead.
+# overflows (and gamma/k itself for subnormal k), and the log-moment is taken
+# from the hypotenuse of gamma + k and x0 instead.
 @pytest.mark.parametrize("x0, gamma, k", [
     (0.0, 1.0, 1.0), (2.0, 0.5, 0.3), (-3.0, 1.7, 40.0), (0.0, 1.0, 1e-150),
     (0.0, 1.0, 1e-160), (0.0, 1.0, 1e-300), (1e200, 1.0, 1.0), (-2e150, 3.0, 1.5),
+    (0.0, 1.0, 5e-324), (1e300, 1e300, 1e-10),
 ])
 def test_cauchy_log_moment_matches_mpmath(x0, gamma, k):
     want = _cauchy_log_moment_by_mpmath(x0, gamma, k)
