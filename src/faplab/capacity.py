@@ -44,7 +44,7 @@ from .cauchy import (
     independent_sum,
     isotropic_cauchy,
 )
-from .fap import ChannelGeometry, zero_drift_reduction
+from .fap import ChannelGeometry, _rewrite, zero_drift_reduction
 from .quadrature import line_integral, plane_integral, radial_integral
 from .special import EULER_GAMMA, digamma, log_gamma, log_gamma_ratio, scipy_special, trigamma, w2
 
@@ -259,24 +259,30 @@ def _law(obj):
 def _sample_norms(y: np.ndarray, p: Optional[int]):
     """(norms of y / unit, unit): |y| or row norms, of dimension p if given.
 
-    unit is 1, or the power of 2 that brings finite rows' norms back into the
-    float range; halving is exact, so L(y, k) = L(y / unit, k / unit).
+    unit is 1, or a power of 2 that brings finite rows' norms back into the
+    float range; dividing by it is exact, so L(y, k) = L(y / unit, k / unit).
+    A norm that is NaN or inf (a sample holding one) is an error.
     """
     dim = 1 if y.ndim == 1 else y.shape[1]
     if p is not None and dim != p:
         raise ValueError(f"input has dimension {dim}, expected {p}")
+    unit = 1.0
     if y.ndim == 1:
-        return np.abs(y), 1.0
-    # Squares of coordinates above about 1.3e154 overflow; hypot does not.
-    with np.errstate(over="ignore"):
-        mags = np.linalg.norm(y, axis=1)
-        over = np.isinf(mags)
-        if over.any():
-            mags[over] = np.hypot.reduce(y[over], axis=1)
-            if np.isinf(mags[over]).any() and np.isfinite(y).all():
-                mags, unit = _sample_norms(0.5 * y, p)
-                return mags, 2.0 * unit
-    return mags, 1.0
+        mags = np.abs(y)
+    else:
+        # Squares of coordinates above about 1.3e154 overflow; hypot does not.
+        with np.errstate(over="ignore"):
+            mags = np.linalg.norm(y, axis=1)
+            over = np.isinf(mags)
+            if over.any():
+                mags[over] = np.hypot.reduce(y[over], axis=1)
+                if np.isinf(mags[over]).any():
+                    # A finite row's norm is at most sqrt(dim) times its largest coordinate.
+                    unit = 2.0 ** math.ceil(0.5 * math.log2(dim))
+                    mags = np.hypot.reduce(y / unit, axis=1)
+    if not np.isfinite(mags).all():
+        raise ValueError("samples need finite norms (got NaN or inf)")
+    return mags, unit
 
 
 def _norms_or_law(obj, p: Optional[int]):
@@ -400,10 +406,10 @@ def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
     the beta-prime rule of ``_beta_prime_moments`` for a max-entropy profile
     and a central isotropic bivariate Cauchy law; the quadrature route of
     ``_law`` for every other law with a density; the mean over samples, a
-    point mass counting as one sample.
+    point mass counting as one sample.  k and the sample norms must be finite.
     """
-    if not k > 0.0:
-        raise ValueError(f"k must be > 0, got {k}")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     obj, law, unit = _norms_or_law(dist_or_samples, p)
     return _log_moment_and_slope(obj, law, k / unit, slope=False)[0]
 
@@ -433,7 +439,7 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     the root to rounding.  Where D vanishes, every sample sits at q = 0 and
     there is no root; a log-moment that is not finite, or a root outside the
     float range (a profile too near its pole), is an error.  Finite samples
-    whose norms pass the float range are solved at half scale: the
+    whose norms pass the float range are solved at a power-of-2 scale: the
     dispersion is homogeneous of degree 1.
     """
     obj = dist_or_samples
@@ -446,12 +452,7 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     if not c > 0.0:
         raise ValueError(f"constraint value {c} is outside the attainable range (0, inf)")
     obj, law, unit = _norms_or_law(obj, spec.p)
-    if law is not None:
-        k = law[1]
-    elif np.isfinite(obj).all():
-        k = float(np.median(obj)) or 1.0
-    else:
-        raise ValueError("dispersion of samples needs finite norms (got NaN or inf)")
+    k = law[1] if law is not None else float(np.median(obj)) or 1.0
     for _ in range(_DISPERSION_MAX_STEPS):
         L, D = _log_moment_and_slope(obj, law, k)
         if not math.isfinite(L):
@@ -760,7 +761,7 @@ def capacity_table(A_values: Sequence[float], lam: float, sigma: float):
 
 
 def write_capacity_table_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["A", "C_gauss", "C_2d", "C_3d"])
         for r in rows:
@@ -770,7 +771,7 @@ def write_capacity_table_csv(rows, path) -> None:
 
 
 def write_capacity_table_json(rows, path) -> None:
-    with open(path, "w") as fh:
+    with _rewrite(path) as fh:
         json.dump(rows, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -786,7 +787,7 @@ def write_curve_files(rows, out_dir) -> list:
         ("C_3d", "curve_fap3d.dat"),
     ):
         path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
+        with _rewrite(path) as fh:
             fh.write("# A  capacity_nats\n")
             for r in rows:
                 if not math.isnan(r[key]):

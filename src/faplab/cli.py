@@ -11,7 +11,9 @@ Subcommands:
 
 Every file-writing run records a manifest (subcommand, resolved parameters,
 seed, version, outputs, duration) next to its outputs; re-running the argv
-stored in a manifest reproduces the primary outputs byte for byte.  Worker
+stored in a manifest reproduces the primary outputs byte for byte.  A rerun
+into an existing --out rewrites each file in place (``fap._rewrite``, which
+does not truncate on open) and leaves the bytes of a fresh directory.  Worker
 count is capped by the FAPLAB_THREADS environment variable and never
 affects results.
 
@@ -190,7 +192,9 @@ def _write_manifest(out_dir: Path, subcommand: str, argv: Sequence[str], params:
         "outputs": sorted(str(o) for o in outputs),
         "duration_s": time.time() - started,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
+    from .fap import _rewrite
+
+    with _rewrite(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -210,7 +214,7 @@ def rerun_from_manifest(manifest_path, out_dir=None) -> int:
 def _cmd_density(args, argv) -> int:
     started = time.time()
     g, v, x = _channel_from_args(args)
-    from .fap import density_grid, write_density_grid_csv
+    from .fap import _rewrite, density_grid, write_density_grid_csv
 
     cols, grid = density_grid(g, v, x, args.ymin, args.ymax, args.points)
     out = args.out
@@ -221,7 +225,7 @@ def _cmd_density(args, argv) -> int:
     else:
         path = out / "density.json"
         payload = [dict(zip(cols, row)) for row in grid.tolist()]
-        with open(path, "w") as fh:
+        with _rewrite(path) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     _write_manifest(out, "density", argv, {
@@ -261,6 +265,7 @@ def _cmd_simulate(args, argv) -> int:
 
 def _cmd_capacity(args, argv) -> int:
     from .capacity import capacity_closed_form
+    from .fap import _rewrite
 
     started = time.time()
     floor = args.sigma if args.channel == "gaussian" else args.lam
@@ -270,13 +275,15 @@ def _cmd_capacity(args, argv) -> int:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "capacity.json"
-        path.write_text(payload + "\n")
+        with _rewrite(path) as fh:
+            fh.write(payload + "\n")
         _write_manifest(args.out, "capacity", argv, result.to_dict(), [path.name], started)
     return EXIT_OK
 
 
 def _cmd_maxent(args, argv) -> int:
     from .capacity import ConstraintSpec, maxent_profile
+    from .fap import _rewrite
 
     started = time.time()
     spec = ConstraintSpec(args.p, target=args.c)
@@ -295,7 +302,8 @@ def _cmd_maxent(args, argv) -> int:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "maxent.json"
-        path.write_text(text + "\n")
+        with _rewrite(path) as fh:
+            fh.write(text + "\n")
         _write_manifest(args.out, "maxent", argv,
                         {k: payload[k] for k in ("p", "k", "target", "mu")},
                         [path.name], started)

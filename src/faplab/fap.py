@@ -27,6 +27,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -270,9 +273,28 @@ def density_grid(
     return columns, np.column_stack([nodes, fap_density(g, v, x, nodes)])
 
 
+@contextmanager
+def _rewrite(path, newline=None):
+    """``open(path, "w")`` without O_TRUNC: the file is cut to what was written on exit.
+
+    On ext4 (``auto_da_alloc``) a file truncated to zero is flushed at close,
+    and the next rewrite of it waits for that writeback.  Bytes, inode, mode
+    and symlink-following are those of ``open(path, "w")``, and so is the new
+    prefix an exception leaves.  A device or pipe, which O_TRUNC leaves alone,
+    is not cut either.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def write_density_grid_csv(path, columns: Sequence[str], rows) -> None:
     """CSV export with header (y1[,y2],density); floats use shortest round-trip form."""
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows([repr(c) for c in row] for row in np.asarray(rows, dtype=float).tolist())

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fap import ChannelGeometry, DriftVector, _input_position
+from .fap import ChannelGeometry, DriftVector, _input_position, _rewrite
 
 __all__ = [
     "SimConfig",
@@ -414,7 +414,7 @@ def write_samples_csv(sample_set: FapSampleSet, path) -> None:
     n_t = sample_set.positions.shape[1]
     cols = ["particle_id"] + [f"y{i + 1}" for i in range(n_t)] + ["hit_time", "censored"]
     hits = {int(pid): k for k, pid in enumerate(sample_set.hit_particle_ids)}
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for pid in range(sample_set.n_particles):
@@ -431,6 +431,6 @@ def write_config_json(cfg: SimConfig, path, version: str, x_in=None) -> None:
     payload = cfg.to_dict()
     payload["x_in"] = [float(c) for c in np.atleast_1d(x_in)] if x_in is not None else None
     payload["version"] = version
-    with open(path, "w") as fh:
+    with _rewrite(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -574,7 +574,6 @@ def _check_table_columns(quick: bool):
 
 
 def _check_manifest_roundtrip(quick: bool):
-    import filecmp
     import io
     import tempfile
     from contextlib import redirect_stdout
@@ -586,17 +585,22 @@ def _check_manifest_roundtrip(quick: bool):
     # differ from run to run; they are dropped.
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
         out1, out2 = Path(tmp) / "a", Path(tmp) / "b"
-        rc = cli.run(["table1", "--a-min", "1", "--a-max", "4", "--a-count", "7",
-                      "--out", str(out1)])
-        if rc != 0:
-            return False, f"table1 exited {rc}"
-        rc = cli.rerun_from_manifest(out1 / "manifest.json", out_dir=out2)
-        if rc != 0:
-            return False, f"rerun exited {rc}"
+        table1 = ["table1", "--a-min", "1", "--a-max", "4", "--out", str(out1), "--a-count"]
         names = ["table.csv", "table.json", "curve_gaussian.dat", "curve_fap2d.dat",
                  "curve_fap3d.dat"]
-        same = all(filecmp.cmp(out1 / n, out2 / n, shallow=False) for n in names)
-        return same, "byte-identical rerun" if same else "rerun output differs"
+        # The 7-row table rerun into a fresh directory, then rerun in place
+        # over a 29-row table, where a stale tail would survive an untruncated write.
+        for rows, src, out, what in (("7", out1, out2, "rerun"),
+                                     ("29", out2, out1, "rerun in place")):
+            rc = cli.run(table1 + [rows])
+            if rc != 0:
+                return False, f"table1 exited {rc}"
+            rc = cli.rerun_from_manifest(src / "manifest.json", out_dir=out)
+            if rc != 0:
+                return False, f"{what} exited {rc}"
+            if any((out1 / n).read_bytes() != (out2 / n).read_bytes() for n in names):
+                return False, f"{what} output differs"
+        return True, "byte-identical rerun"
 
 
 _CHECKS: List[Tuple[str, Callable[[bool], Tuple[bool, str]]]] = [

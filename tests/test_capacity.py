@@ -112,6 +112,26 @@ def test_log_moment_rejects_bad_k():
         log_moment(UnivariateCauchy(0.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("k", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("law", [np.ones((4, 2)), UnivariateCauchy(0.0, 1.0)], ids=["samples", "law"])
+def test_log_moment_rejects_k_that_is_not_positive_and_finite(law, k):
+    with pytest.raises(ValueError, match="k must be positive and finite"):
+        log_moment(law, k)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("solve", [lambda y: log_moment(y, 1.0),
+                                   lambda y: dispersion_of(y, ConstraintSpec(y.ndim))],
+                         ids=["log_moment", "dispersion_of"])
+def test_non_finite_samples_are_rejected(solve, dim, bad):
+    # One check on the norms serves both; a NaN or inf no longer reaches the mean.
+    y = np.ones(50) if dim == 1 else np.ones((50, 2))
+    y.reshape(50, -1)[7, 0] = bad
+    with pytest.raises(ValueError, match=r"samples need finite norms \(got NaN or inf\)"):
+        solve(y)
+
+
 def _cauchy_log_moment_by_mpmath(x0: float, gamma: float, k: float) -> float:
     """ln(((gamma + k)^2 + x0^2) / k^2) at the float arguments, by mpmath at 40 digits."""
     import mpmath as mp

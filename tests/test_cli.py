@@ -1,7 +1,10 @@
+import ast
 import csv
+import filecmp
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +286,95 @@ def test_manifest_rerun_deterministic_subcommands(tmp_path):
         assert run(argv + ["--out", str(first)]) == EXIT_OK
         assert rerun_from_manifest(first / "manifest.json", out_dir=second) == EXIT_OK
         assert (first / produced).read_bytes() == (second / produced).read_bytes()
+
+
+_SIM = ["simulate", "--dt", "1e-3", "--max-steps", "30000", "--seed", "9", "--particles"]
+
+
+@pytest.mark.parametrize(
+    "first, second, names",
+    [
+        (["density", "-n", "3", "--points", "41"], ["density", "-n", "3", "--points", "11"],
+         ["density.csv"]),
+        (["density", "--points", "41", "--format", "json"],
+         ["density", "--points", "11", "--format", "json"], ["density.json"]),
+        (_SIM + ["400"], _SIM + ["100"], ["samples.csv", "simulate_config.json"]),
+        (["table1", "--a-count", "29"], ["table1", "--a-count", "7"],
+         ["table.csv", "table.json", "curve_gaussian.dat", "curve_fap2d.dat", "curve_fap3d.dat"]),
+        (["capacity", "--channel", "fap3d", "--A", "3.75"], ["capacity", "--channel", "fap2d", "--A", "2"],
+         ["capacity.json"]),
+        (["maxent", "--grid-points", "33"], ["maxent", "--grid-points", "5"], ["maxent.json"]),
+    ],
+    ids=["density_csv", "density_json", "simulate", "table1", "capacity", "maxent"],
+)
+def test_rerun_into_a_used_out_matches_a_fresh_one(tmp_path, first, second, names):
+    # The second run's files are shorter than the first's: no stale tail may
+    # survive, and each file is rewritten in place, on the same inode.
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    assert run(first + ["--out", str(used)]) == EXIT_OK
+    inodes = {n: (used / n).stat().st_ino for n in names + ["manifest.json"]}
+    sizes = {n: (used / n).stat().st_size for n in names}
+    assert run(second + ["--out", str(used)]) == EXIT_OK
+    assert run(second + ["--out", str(fresh)]) == EXIT_OK
+    for n in names:
+        assert filecmp.cmp(used / n, fresh / n, shallow=False), n
+    assert any((used / n).stat().st_size < sizes[n] for n in names)
+    assert {n: (used / n).stat().st_ino for n in inodes} == inodes
+    assert json.loads((used / "manifest.json").read_text())["argv"] == second + ["--out", str(used)]
+
+
+@pytest.mark.parametrize("target", ["file", "devnull"])
+def test_an_output_that_is_a_symlink_is_written_through(tmp_path, target):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    out.mkdir()
+    elsewhere = tmp_path / "elsewhere.csv"
+    elsewhere.write_text("stale\n" * 10_000)
+    dest = elsewhere if target == "file" else Path(os.devnull)
+    (out / "density.csv").symlink_to(dest)
+    argv = ["density", "--points", "11"]
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    assert run(argv + ["--out", str(fresh)]) == EXIT_OK
+    assert (out / "density.csv").is_symlink()
+    assert os.readlink(out / "density.csv") == str(dest)
+    if target == "file":
+        assert filecmp.cmp(elsewhere, fresh / "density.csv", shallow=False)
+
+
+_MODE = re.compile(r"[rwxabt+]*w[rwxabt+]*")
+
+
+def _writes_outside_rewrite(source: str) -> list:
+    """Line numbers of write-mode open calls and write_text/write_bytes calls
+    outside the body of ``_rewrite``."""
+    tree = ast.parse(source)
+    exempt = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == "_rewrite" for n in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        modes = node.args[:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+        if name in ("write_text", "write_bytes") or name in ("open", "fdopen") and any(
+            isinstance(m, ast.Constant) and isinstance(m.value, str) and _MODE.fullmatch(m.value)
+            for m in modes
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_every_output_file_is_written_through_rewrite():
+    # open(path, "w") truncates on open, and on ext4 each rerun into the same
+    # file then waits for the previous one's writeback; fap._rewrite does not.
+    assert _writes_outside_rewrite(
+        'open(p, "w")\nopen(p, mode="wb")\nPath(p).open("w+")\np.write_text(t)\n'
+        'os.fdopen(fd, "w")\nopen(p)\nopen(p, "rb")\nopen(p, "a")\n'
+        'def _rewrite(p):\n    open(p, "w")\n'
+    ) == [1, 2, 3, 4, 5]
+    src = Path(faplab.__file__).parent
+    found = {f.name: _writes_outside_rewrite(f.read_text()) for f in sorted(src.glob("*.py"))}
+    assert not any(found.values()), found
 
 
 def test_simulate_threads_env_does_not_change_results(tmp_path, monkeypatch):
