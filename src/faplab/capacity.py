@@ -487,22 +487,61 @@ def feasibility(
 
 
 _KNN_QUERY_BLOCK = 65_536
+# Twice scipy's default: half the tree nodes (4.5 MiB fewer at 1e6 points),
+# which offsets part of the ordered copy's memory for about 2 % more kNN time.
+_KNN_LEAF_SIZE = 32
+# Samples whose largest |coordinate| leaves [2^-500, 2^500] are rescaled by a
+# power of 2 first: the KD-tree's squared distances overflow or underflow there.
+_KNN_RANGE = (2.0 ** -500, 2.0 ** 500)
 
 
-def _nearest_neighbor_distances(x: np.ndarray) -> np.ndarray:
-    """Distance from each row of x to its nearest other row, by a KD-tree.
+def _cell_order(x: np.ndarray) -> np.ndarray:
+    """Stable permutation that sorts the rows of x (n, d) by grid cell, row-major.
 
-    Queries in the tree's leaf order walk the nodes the previous query left
-    in cache; blocks bound the copies of points and results.  The distances
-    do not depend on the order of the queries.
+    Column j is mapped to u = x / (|x| + s) in [-1, 1], with s the median
+    |x| of every 64th row (1 where that is 0), and cut into 2^(16 // d) equal
+    cells; a heavy tail cannot empty the grid.  The cells form one uint16 code.
+    """
+    n, d = x.shape
+    cells = 1 << (16 // d)
+    code = np.zeros(n, dtype=np.uint16)
+    u = np.empty(n)
+    with np.errstate(over="ignore"):
+        for j in range(d):
+            col = x[:, j]
+            s = float(np.median(np.abs(col[::64]))) or 1.0
+            np.abs(col, out=u)
+            u += s
+            np.divide(col, u, out=u)
+            u += 1.0
+            u *= 0.5 * cells
+            np.minimum(u, cells - 1, out=u)
+            np.floor(u, out=u)
+            code *= cells
+            np.add(code, u, out=code, casting="unsafe")
+    del u  # the sort's output may take the scratch's place
+    return np.argsort(code, kind="stable")
+
+
+def _nearest_neighbor_distances(x: np.ndarray, exponent: int = 0) -> np.ndarray:
+    """Distance from each row of x / 2^exponent to its nearest other row, by a KD-tree.
+
+    The distances come in the row order of ``_cell_order(x)``, not that of x.
+    The tree is built on a copy of x in that order, so rows that are near in
+    memory are near in space: its build, its leaf scans and the queries, taken
+    in contiguous blocks of that copy, read memory almost in sequence.  Blocks
+    bound the query's result arrays.  Dividing by 2^exponent is exact.
     """
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(x, compact_nodes=False)
-    order, eps = tree.indices, np.empty(len(x))
-    for start in range(0, len(x), _KNN_QUERY_BLOCK):
-        block = order[start:start + _KNN_QUERY_BLOCK]
-        eps[block] = tree.query(x[block], k=[2])[0][:, 0]
+    xs = np.take(x, _cell_order(x), axis=0)
+    if exponent:
+        np.ldexp(xs, -exponent, out=xs)
+    tree = cKDTree(xs, _KNN_LEAF_SIZE, compact_nodes=False, copy_data=False)
+    eps = np.empty(len(xs))
+    for start in range(0, len(xs), _KNN_QUERY_BLOCK):
+        stop = start + _KNN_QUERY_BLOCK
+        eps[start:stop] = tree.query(xs[start:stop], k=[2])[0][:, 0]
     return eps
 
 
@@ -510,32 +549,45 @@ def _knn_entropy(samples: np.ndarray) -> EntropyEstimate:
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("nearest-neighbor entropy takes 1-D samples or (n, d >= 1) rows, "
+                         f"got shape {x.shape}")
     n, d = x.shape
     if n < 1000:
         raise ValueError("nearest-neighbor entropy needs at least 1000 samples")
-    if not np.isfinite(x).all():
+    hi, lo = float(x.max()), float(x.min())  # NaN if any sample is NaN
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("nearest-neighbor entropy needs finite samples (got NaN or inf)")
+    top = max(hi, -lo)
+    exponent = 0 if _KNN_RANGE[0] <= top <= _KNN_RANGE[1] else math.frexp(top)[1]
     if d == 1:
         xs = np.sort(x[:, 0])
+        if exponent:
+            np.ldexp(xs, -exponent, out=xs)
         gaps = np.diff(xs)
-        eps = np.empty(n)
+        eps = xs  # the sorted copy is spent: it takes the distances
         eps[0] = gaps[0]
         eps[-1] = gaps[-1]
-        eps[1:-1] = np.minimum(gaps[:-1], gaps[1:])
+        np.minimum(gaps[:-1], gaps[1:], out=eps[1:-1])
+        del gaps
     else:
-        eps = _nearest_neighbor_distances(x)
+        eps = _nearest_neighbor_distances(x, exponent)
     mask = eps > 0.0
-    dropped = int(n - mask.sum())
-    if dropped:
+    m = int(mask.sum())
+    if m < 2:
+        raise ValueError("nearest-neighbor entropy needs 2 or more points without a duplicate, "
+                         f"got {m} of {n}")
+    if m < n:
         warnings.warn(
-            f"dropped {dropped} duplicate points in the nearest-neighbor estimator",
+            f"dropped {n - m} duplicate points in the nearest-neighbor estimator",
             RuntimeWarning,
             stacklevel=3,
         )
-    ln_eps = np.log(eps[mask])
-    m = ln_eps.size
+    ln_eps = eps if m == n else eps[mask]
+    np.log(ln_eps, out=ln_eps)
     log_unit_ball = 0.5 * d * math.log(math.pi) - log_gamma(0.5 * d + 1.0)
-    value = digamma(m) + EULER_GAMMA + log_unit_ball + d * float(np.mean(ln_eps))
+    mean_ln_eps = float(np.mean(ln_eps)) + exponent * math.log(2.0)
+    value = digamma(m) + EULER_GAMMA + log_unit_ball + d * mean_ln_eps
     stderr = d * float(np.std(ln_eps, ddof=1)) / math.sqrt(m)
     return EntropyEstimate(value, "knn", stderr)
 
@@ -586,7 +638,10 @@ def entropy_estimate(dist_or_samples, method: str = "quadrature") -> EntropyEsti
     quadrature              -f ln f of a law's pdf integrated (std_error 0): by the
                             beta-prime rule for a profile or a central isotropic
                             bivariate Cauchy law, else tanh-sinh (see ``_law``);
-    knn                     first-nearest-neighbor estimator on samples, tail-robust;
+    knn                     Kozachenko-Leonenko first-nearest-neighbor estimator on 1000
+                            or more finite samples, 1-D or (n, d) rows, at any float
+                            scale; tail-robust; duplicate points are dropped, with a
+                            RuntimeWarning;
     histogram_transformed   histogram of arctan(y/s) plus the exact Jacobian
                             correction, univariate samples only.
     """

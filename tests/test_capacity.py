@@ -1,6 +1,7 @@
 import contextlib
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -720,19 +721,104 @@ def test_entropy_knn_in_three_and_more_columns(d):
 def test_knn_distances_equal_a_plain_tree_query(d):
     from scipy.spatial import cKDTree
 
-    from faplab.capacity import _nearest_neighbor_distances
+    from faplab.capacity import _cell_order, _nearest_neighbor_distances
 
     # 150,001 rows end the last query block at an uneven boundary; three
-    # planted duplicate pairs give six zero distances.
+    # planted duplicate pairs give six zero distances.  The distances come in
+    # the cell order of the rows.
     n = 150_001
     x = np.random.default_rng(21).standard_cauchy((n, d))
     x[[10, 70_000, 150_000]] = x[[5, 69_999, 3]]
     ref = cKDTree(x).query(x, k=2)[0][:, 1]
-    assert np.array_equal(_nearest_neighbor_distances(x), ref)
+    perm = _cell_order(x)
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    assert np.array_equal(_nearest_neighbor_distances(x), ref[perm])
     dropped = int(np.count_nonzero(ref == 0.0))
     assert dropped == 6
     with pytest.warns(RuntimeWarning, match=f"dropped {dropped} duplicate points"):
         entropy_estimate(x, "knn")
+
+
+def _reference_cell_codes(x):
+    """The row-major cell code of each row of x, spelled out from its definition."""
+    n, d = x.shape
+    cells = 2 ** (16 // d)
+    code = np.zeros(n, dtype=np.int64)
+    for j in range(d):
+        s = float(np.median(np.abs(x[::64, j]))) or 1.0
+        with np.errstate(over="ignore"):
+            u = x[:, j] / (np.abs(x[:, j]) + s)
+        cell = np.minimum(np.floor((u + 1.0) / 2.0 * cells), cells - 1)
+        code = code * cells + cell.astype(np.int64)
+    return code
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 4]),
+    case=st.sampled_from(["cauchy", "constant_column", "near_1e300", "near_max_float"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cell_order_is_a_stable_sort_by_cell(d, case, seed):
+    from faplab.capacity import _cell_order
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_cauchy((1000, d))
+    if case == "constant_column":
+        x[:, 1] = 0.0 if seed % 2 else 3.5
+    elif case == "near_1e300":
+        x = rng.uniform(-1.5, 1.5, (1000, d)) * 1e300
+    elif case == "near_max_float":
+        x[::3] = np.sign(x[::3]) * 1.7e308  # |x| + s overflows: u = 0, never NaN
+    code = _reference_cell_codes(x)
+    assert code.min() >= 0 and code.max() < 2**16
+    perm = _cell_order(x)
+    assert np.array_equal(np.sort(perm), np.arange(len(x)))
+    assert np.array_equal(perm, np.argsort(code, kind="stable"))
+    if case != "near_max_float":
+        # Dividing by a power of 2 is exact and leaves every cell as it was.
+        assert np.array_equal(_cell_order(np.ldexp(x, -600)), perm)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_entropy_knn_does_not_depend_on_row_order(d):
+    x = np.random.default_rng(25).standard_cauchy((20_000, d))
+    a = entropy_estimate(x, "knn")
+    for seed in (26, 27):
+        b = entropy_estimate(x[np.random.default_rng(seed).permutation(len(x))], "knn")
+        assert b.value == pytest.approx(a.value, rel=1e-12)
+        assert b.std_error == pytest.approx(a.std_error, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [500, 997, -1000])
+def test_entropy_knn_is_exact_in_scale_at_the_ends_of_the_float_range(k, d):
+    # Squared distances of 2-D samples near 2^500 overflow, and those of
+    # samples near 2^-1000 underflow to 0; a power-of-2 rescale avoids both.
+    y = np.random.default_rng(23).standard_cauchy((20_000, d))
+    unit = entropy_estimate(y, "knn")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = entropy_estimate(np.ldexp(y, k), "knn")
+    assert far.value == pytest.approx(unit.value + d * k * math.log(2.0), rel=0.0, abs=1e-12)
+    assert far.std_error == pytest.approx(unit.std_error, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "samples, match",
+    [
+        (np.ones((2000, 2, 2)), r"got shape \(2000, 2, 2\)"),
+        (np.empty((2000, 0)), r"got shape \(2000, 0\)"),
+        (np.zeros(2000), "got 0 of 2000"),
+        (np.full((2000, 2), 3.0), "got 0 of 2000"),
+        (np.repeat(np.arange(1000.0), 2), "got 0 of 2000"),
+        (np.r_[np.zeros(1999), 1.0], "got 1 of 2000"),
+    ],
+    ids=["3d_array", "no_columns", "zeros", "constant_rows", "pairs", "one_distinct"],
+)
+def test_entropy_knn_rejects_out_of_domain_samples(samples, match):
+    with pytest.raises(ValueError, match=match):
+        entropy_estimate(samples, "knn")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
