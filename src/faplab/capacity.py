@@ -8,21 +8,24 @@ and a prescribed ceiling A; under that constraint the arrival-position
 channel capacities have closed forms, verified here by constrained
 maximum-entropy solving and sample-based entropy estimation.
 
-Closed forms are the production path: the 1-D Cauchy log-moment and the
-max-entropy constraint value w2(mu, p/2) are elementary or digamma
-functions, so dispersions and max-entropy exponents are root-solves over
-them, both by Newton's method on a decreasing convex function, whose
-iterates climb to the root from its left without overshooting: dispersions
-in ln k, with the log-moment and its slope from one evaluation per step (see
-``dispersion_of``), exponents in mu (see ``maxent_profile``).  Max-entropy
-profiles and the central isotropic bivariate Cauchy law take theirs, and
-their quadrature entropies, from one beta-prime trapezoid rule (see
-``_beta_prime_rule``).  At p = 2 the exponent and the profile's normalizer
-are elementary, so the p = 2 max-entropy profile loads no scipy; at p = 1
-it loads ``scipy.special`` only.  The rest (off-centre and anisotropic
-laws, the 1-D Cauchy law's entropy, custom densities) goes through one
-tanh-sinh quadrature route, ``_law``, which also serves as the independent
-cross-check of the closed forms and the rule.
+Closed forms are the production path: the 1-D Cauchy log-moment (the law's
+own ``log_moment_and_slope``) and the max-entropy constraint value
+w2(mu, p/2) are elementary or digamma functions, so dispersions and
+max-entropy exponents are root-solves over them, both by Newton's method on
+a decreasing convex function, whose iterates climb to the root from its left
+without overshooting: dispersions in ln k, with the log-moment and its slope
+from one evaluation per step (see ``dispersion_of``), exponents in mu (see
+``maxent_profile``).  Max-entropy profiles and central isotropic Cauchy laws
+of any dimension take theirs, and their quadrature entropies, from one
+beta-prime trapezoid rule (see ``_beta_prime_rule``).  At p = 2 the exponent
+and the profile's normalizer are elementary, so the p = 2 max-entropy
+profile loads no scipy; at p = 1 it loads ``scipy.special`` only.  The rest
+(off-centre and anisotropic laws, the 1-D Cauchy law's entropy, custom
+densities) goes through one tanh-sinh quadrature route, ``_law``, which
+also serves as the independent cross-check of the closed forms and the
+rule.  Each law with a density states its own frame for that route, and
+its beta-prime shape if it has one, by its ``quadrature_frame`` method; no
+code here reads a law's type.
 """
 
 from __future__ import annotations
@@ -37,13 +40,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .cauchy import (
-    Degenerate,
-    MultivariateCauchy,
-    UnivariateCauchy,
-    independent_sum,
-    isotropic_cauchy,
-)
+from .cauchy import Degenerate, independent_sum, isotropic_cauchy
 from .fap import ChannelGeometry, _rewrite, zero_drift_reduction
 from .quadrature import line_integral, plane_integral, radial_integral
 from .special import EULER_GAMMA, digamma, log_gamma, log_gamma_ratio, scipy_special, trigamma, w2
@@ -147,6 +144,20 @@ class CustomDensity:
     center: float = 0.0
     scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        c = np.asarray(self.center, dtype=float)
+        if c.ndim > 1 or c.size not in (1, self.dim) or not np.isfinite(c).all():
+            raise ValueError(
+                f"center must be finite, with 1 or {self.dim} coordinates, got {self.center}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
+
+    def quadrature_frame(self):
+        """(center, scale, shape) of the quadrature route: (center, scale, None)."""
+        return self.center, self.scale, None
+
 
 @dataclass(frozen=True)
 class MaxentProfile:
@@ -158,6 +169,9 @@ class MaxentProfile:
     target: float
 
     def __post_init__(self) -> None:
+        if not (self.p >= 1 and float(self.p).is_integer()):
+            raise ValueError(f"p must be a whole number >= 1, got {self.p}")
+        object.__setattr__(self, "p", int(self.p))
         if not 0.0 < self.k < math.inf:
             raise ValueError(f"k must be > 0 and finite, got {self.k}")
         if not 0.5 * self.p < self.mu < math.inf:
@@ -177,6 +191,10 @@ class MaxentProfile:
         """
         head = 0.5 * self.p * math.log(math.pi) + self.p * math.log(self.k)
         return head + log_gamma_ratio(self.mu, 0.5 * self.p)
+
+    def quadrature_frame(self):
+        """(center, scale, shape) of the quadrature route: (0, k, (p/2, mu - p/2, ln Z))."""
+        return 0.0, self.k, (0.5 * self.p, self.mu - 0.5 * self.p, lambda: self.log_norm)
 
     def pdf(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -204,39 +222,29 @@ class MaxentProfile:
 
 
 def _law(obj):
-    """(dim, scale, radial, integrate, shape) for a law with ``dim`` and ``pdf``; None otherwise.
+    """(scale, integrate, shape) for a law with a ``quadrature_frame``; None otherwise.
 
-    This is the one quadrature route for laws.  integrate(h, extra=0.0) is
-    the integral over R^dim of h(f(y), ||y||) for the law's density f, with
-    h evaluated elementwise on arrays of density values and norms, under
-    the cotangent substitution around the law's center: on the line in
-    dimension 1, radially for a law isotropic about the origin in the plane
-    (radial is True), and over the full plane otherwise.  An integrand with
-    structure at a second length as well (k in a log-moment) passes it as
-    extra; the substitution then uses scale + min(extra, scale), as a
-    larger one squeezes the law's core.
+    This is the one quadrature route for laws: each law states its own frame
+    (center, scale, shape), and this is the one place that decides how a law
+    is integrated.  integrate(h, extra=0.0) is the integral over R^dim of
+    h(f(y), ||y||) for the law's density f, with h evaluated elementwise on
+    arrays of density values and norms, under the cotangent substitution
+    around the law's center: on the line in dimension 1, radially for a law
+    with a shape in the plane (isotropic about the origin), and over the full
+    plane otherwise.  An integrand with structure at a second length as well
+    (k in a log-moment) passes it as extra; the substitution then uses
+    scale + min(extra, scale), as a larger one squeezes the law's core.
 
-    shape is (a, b, ln_z) for a profile or central isotropic bivariate Cauchy
-    law, density (1 + ||y/scale||^2)^(-(a + b)) / Z on R^(2a), with ln_z()
-    giving ln Z; then ||Y/scale||^2 ~ beta-prime(a, b).  None otherwise.
+    shape is (a, b, ln_z) for a profile or central isotropic Cauchy law,
+    density (1 + ||y/scale||^2)^(-(a + b)) / Z on R^(2a), with ln_z() giving
+    ln Z; then ||Y/scale||^2 ~ beta-prime(a, b).  None otherwise.
     """
-    pdf = getattr(obj, "pdf", None)
-    if pdf is None:
+    frame = getattr(obj, "quadrature_frame", None)
+    if frame is None:
         return None
-    dim, radial, shape = obj.dim, False, None
-    if isinstance(obj, UnivariateCauchy):
-        center, scale = obj.location, obj.scale
-    elif isinstance(obj, MultivariateCauchy):
-        s2, isotropic = obj._isotropy()
-        center, scale = obj.location, math.sqrt(s2)
-        radial = dim == 2 and not obj.location.any() and isotropic
-        # ln Z is read only when asked: the Cauchy constant loads scipy.special.
-        shape = (1.0, 0.5, lambda: -obj.log_norm) if radial else None
-    elif isinstance(obj, MaxentProfile):
-        center, scale, radial = 0.0, obj.k, dim == 2
-        shape = 0.5 * dim, obj.mu - 0.5 * dim, lambda: obj.log_norm
-    else:  # CustomDensity
-        center, scale = obj.center, obj.scale
+    center, scale, shape = frame()
+    dim, pdf = obj.dim, obj.pdf
+    radial = dim == 2 and shape is not None
 
     def integrate(h: Callable[[np.ndarray, np.ndarray], np.ndarray], extra: float = 0.0) -> float:
         s = scale + min(extra, scale)
@@ -253,7 +261,7 @@ def _law(obj):
             lambda y: h(pdf(y), np.hypot(y[:, 0], y[:, 1])), center=tuple(c), scale=s
         )
 
-    return dim, scale, radial, integrate, shape
+    return scale, integrate, shape
 
 
 def _sample_norms(y: np.ndarray, p: Optional[int]):
@@ -297,8 +305,8 @@ def _norms_or_law(obj, p: Optional[int]):
              else np.asarray(obj, dtype=float))
         norms, unit = _sample_norms(y, p)
         return norms, None, unit
-    if p is not None and law[0] != p:
-        raise ValueError(f"input has dimension {law[0]}, expected {p}")
+    if p is not None and obj.dim != p:
+        raise ValueError(f"input has dimension {obj.dim}, expected {p}")
     return obj, law, 1.0
 
 
@@ -382,16 +390,10 @@ def _log_moment_and_slope(obj, law, k: float, slope: bool = True):
             terms[big] = 2.0 * (np.log(obj[big]) - math.log(k))
             L = float(np.mean(terms))
         return L, float(np.mean(_ratio(q)))
-    _, scale, _, integrate, shape = law
-    if isinstance(obj, UnivariateCauchy):
-        u, v = scale / k, obj.location / k
-        if max(u, abs(v)) > 1e150:
-            # L = ln(((gamma + k)^2 + x0^2) / k^2), whose squares overflow past
-            # about 1e154 (and u itself for subnormal k); D = 1 - (1 + u) /
-            # ((1 + u)^2 + v^2) is within 1e-150 of 1 here.
-            return 2.0 * (math.log(math.hypot(scale + k, obj.location)) - math.log(k)), 1.0
-        D = (u * (u + 1.0) + v * v) / ((u + 1.0) ** 2 + v * v)
-        return math.log1p(u * (u + 2.0) + v * v), D
+    closed_form = getattr(obj, "log_moment_and_slope", None)
+    if closed_form is not None:
+        return closed_form(k)
+    scale, integrate, shape = law
     if shape is not None:
         # ln s = 2 ln(k0/k) stays finite where s underflows.
         return _beta_prime_moments(shape[0], shape[1], 2.0 * (math.log(scale) - math.log(k)))
@@ -404,7 +406,7 @@ def log_moment(dist_or_samples, k: float, p: Optional[int] = None) -> float:
 
     A closed form for a univariate Cauchy law, ln(((gamma + k)^2 + x0^2) / k^2);
     the beta-prime rule of ``_beta_prime_moments`` for a max-entropy profile
-    and a central isotropic bivariate Cauchy law; the quadrature route of
+    and a central isotropic Cauchy law of any dimension; the quadrature route of
     ``_law`` for every other law with a density; the mean over samples, a
     point mass counting as one sample.  k and the sample norms must be finite.
     """
@@ -452,7 +454,7 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     if not c > 0.0:
         raise ValueError(f"constraint value {c} is outside the attainable range (0, inf)")
     obj, law, unit = _norms_or_law(obj, spec.p)
-    k = law[1] if law is not None else float(np.median(obj)) or 1.0
+    k = law[0] if law is not None else float(np.median(obj)) or 1.0
     for _ in range(_DISPERSION_MAX_STEPS):
         L, D = _log_moment_and_slope(obj, law, k)
         if not math.isfinite(L):
@@ -620,7 +622,7 @@ def _quadrature_entropy(dist) -> EntropyEstimate:
     law = _law(dist)
     if law is None:
         raise TypeError(f"quadrature entropy cannot handle {type(dist).__name__}")
-    _, scale, _, integrate, shape = law
+    scale, integrate, shape = law
     if shape is not None:
         a, b, ln_z = shape
         return EntropyEstimate(_beta_prime_entropy(a, b, scale, ln_z())[0], "quadrature")
@@ -637,7 +639,7 @@ def entropy_estimate(dist_or_samples, method: str = "quadrature") -> EntropyEsti
 
     quadrature              -f ln f of a law's pdf integrated (std_error 0): by the
                             beta-prime rule for a profile or a central isotropic
-                            bivariate Cauchy law, else tanh-sinh (see ``_law``);
+                            Cauchy law, else tanh-sinh (see ``_law``);
     knn                     Kozachenko-Leonenko first-nearest-neighbor estimator on 1000
                             or more finite samples, 1-D or (n, d) rows, at any float
                             scale; tail-robust; duplicate points are dropped, with a
@@ -804,10 +806,18 @@ def maxent_profile(spec: ConstraintSpec, k: float) -> MaxentProfile:
 
 
 def capacity_table(A_values: Sequence[float], lam: float, sigma: float):
-    """Rows (A, C_gaussian, C_2d, C_3d); NaN marks an infeasible entry."""
+    """Rows (A, C_gaussian, C_2d, C_3d); NaN marks an infeasible entry.
+
+    lam and sigma must be > 0 and finite, and every A finite.
+    """
+    for name, floor in (("lam", lam), ("sigma", sigma)):
+        if not 0.0 < floor < math.inf:
+            raise ValueError(f"{name} must be > 0 and finite, got {floor}")
+    A_values = [float(a) for a in A_values]
+    if not all(map(math.isfinite, A_values)):
+        raise ValueError("every A must be finite")
     rows = []
     for a in A_values:
-        a = float(a)
         c2 = _log_ratio(a, lam) if a >= lam else math.nan
         c3 = 2.0 * c2
         cg = _log_ratio(a, sigma) if a >= sigma else math.nan

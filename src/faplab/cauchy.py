@@ -3,7 +3,10 @@
 Each law class carries its density, closed-form differential entropy (in
 nats), exact sampler and JSON form as the methods ``pdf``, ``entropy``,
 ``sample`` and ``to_dict``; ``pdf_univariate``, ``sample_multivariate`` and
-the like are those methods under module-level names.  The module also
+the like are those methods under module-level names.  A law with a density
+also states, by ``quadrature_frame``, the center, scale and beta-prime shape
+that ``faplab.capacity`` integrates it by, and the 1-D law its log-moment
+and slope in closed form, by ``log_moment_and_slope``.  The module also
 holds the closure rules this package relies on: independent sums of central
 isotropic Cauchy variables stay Cauchy with added scales, and linear
 combinations of a Cauchy vector's components are univariate Cauchy.
@@ -18,7 +21,6 @@ from typing import Union
 
 import numpy as np
 
-from .quadrature import line_integral
 from .special import digamma, log_beta, log_gamma
 
 __all__ = [
@@ -37,7 +39,6 @@ __all__ = [
     "sample_multivariate",
     "independent_sum",
     "linear_combination",
-    "normalization_univariate",
 ]
 
 
@@ -64,6 +65,23 @@ class UnivariateCauchy:
     def entropy(self) -> float:
         """Differential entropy ln(4 pi gamma) in nats; independent of location."""
         return math.log(4.0 * math.pi) + math.log(self.scale)
+
+    def log_moment_and_slope(self, k: float) -> tuple[float, float]:
+        """(L, D) at k > 0: L = E ln(1 + q) = ln(((gamma + k)^2 + x0^2) / k^2), D = E[q / (1 + q)].
+
+        q = (Y/k)^2; D = 1 - (1 + u) / ((1 + u)^2 + v^2) for u = gamma/k, v = x0/k.
+        """
+        u, v = self.scale / k, self.location / k
+        if max(u, abs(v)) > 1e150:
+            # The squares overflow past about 1e154 (and u itself for
+            # subnormal k); D is within 1e-150 of 1 here.
+            return 2.0 * (math.log(math.hypot(self.scale + k, self.location)) - math.log(k)), 1.0
+        D = (u * (u + 1.0) + v * v) / ((u + 1.0) ** 2 + v * v)
+        return math.log1p(u * (u + 2.0) + v * v), D
+
+    def quadrature_frame(self):
+        """(center, scale, shape) of the quadrature route: (location, scale, None)."""
+        return self.location, self.scale, None
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. draws via the inverse CDF x0 + gamma tan(pi (U - 1/2))."""
@@ -143,6 +161,18 @@ class MultivariateCauchy:
         if not isotropic:
             raise ValueError("scale matrix is not isotropic diagonal")
         return math.sqrt(s2)
+
+    def quadrature_frame(self):
+        """(center, scale, shape) of the quadrature route; scale = sqrt(largest diagonal entry).
+
+        A central isotropic law has density (1 + ||y/scale||^2)^(-(p + 1)/2) / Z
+        on R^p, so its shape is (p/2, 1/2, ln_z) with ln_z() = ln Z, read only
+        when asked (the Cauchy constant loads scipy.special); None otherwise.
+        """
+        s2, isotropic = self._isotropy()
+        central = isotropic and not self.location.any()
+        return self.location, math.sqrt(s2), (
+            (0.5 * self.dim, 0.5, lambda: -self.log_norm) if central else None)
 
     def pdf(self, x):
         """p-variate Cauchy density; x is a length-p vector or an (n, p) array."""
@@ -309,7 +339,3 @@ def linear_combination(d: MultivariateCauchy, v) -> UnivariateCauchy:
     scale = math.sqrt(float(v @ d.scale_matrix @ v))
     return UnivariateCauchy(loc, scale)
 
-
-def normalization_univariate(d: UnivariateCauchy) -> float:
-    """Quadrature of the univariate density over the line (sanity hook)."""
-    return line_integral(lambda y: pdf_univariate(d, y), center=d.location, scale=d.scale)

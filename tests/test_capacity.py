@@ -410,7 +410,7 @@ def test_quadrature_log_moment_far_above_the_scale_matches_mpmath(p, mu):
     # k = 100 k0: with the substitution scale k0 + k it missed by 2.6e-11,
     # 2.3e-11 and 1.7e-11 here.
     prof = MaxentProfile(p, 1.0, mu, ConstraintSpec(p).c)
-    by_quad = capacity_module._law(prof)[3](lambda f, r: f * np.log1p((r / 100.0) ** 2), 100.0)
+    by_quad = capacity_module._law(prof)[1](lambda f, r: f * np.log1p((r / 100.0) ** 2), 100.0)
     want = _beta_prime_log_moment_by_mpmath(0.5 * p, mu - 0.5 * p, -2.0 * math.log(100.0))
     assert by_quad == pytest.approx(want, rel=4e-15, abs=0.0)
 
@@ -473,7 +473,7 @@ def test_profile_log_moment_and_slope_at_its_own_scale_match_quadrature(p, t, k)
     prof = MaxentProfile(p, k, mu, ConstraintSpec(p).c)
     law = capacity_module._law(prof)
     L, D = capacity_module._log_moment_and_slope(prof, law, k)
-    integrate = law[3]
+    integrate = law[1]
     assert L == pytest.approx(integrate(lambda f, r: f * np.log1p((r / k) ** 2), k), rel=1e-12)
     assert D == pytest.approx(integrate(lambda f, r: f * (r / k) ** 2 / (1.0 + (r / k) ** 2), k),
                               rel=1e-12)
@@ -489,7 +489,7 @@ def test_dispersion_of_light_tailed_profile_solves_the_constraint(p, mu):
     prof = MaxentProfile(p, 1.0, mu, spec.c)
     d = dispersion_of(prof, spec)
     assert d < 0.25
-    integrate = capacity_module._law(prof)[3]
+    integrate = capacity_module._law(prof)[1]
     assert integrate(lambda f, r: f * np.log1p((r / d) ** 2), d) == pytest.approx(spec.c, rel=1e-12)
 
 
@@ -519,7 +519,7 @@ def test_cauchy_slopes_match_quadrature(law):
     ks = 1.3 * np.concatenate([np.geomspace(0.1, 10.0, 9), 1.0 + np.array(near)])
     law_ = capacity_module._law(law)
     for k in ks:
-        by_quad = law_[3](lambda f, r: f * ((r / k) ** 2 / (1.0 + (r / k) ** 2)), k)
+        by_quad = law_[1](lambda f, r: f * ((r / k) ** 2 / (1.0 + (r / k) ** 2)), k)
         D = capacity_module._log_moment_and_slope(law, law_, k)[1]
         assert D == pytest.approx(by_quad, rel=1e-12), k
 
@@ -535,6 +535,7 @@ _RADIAL_CASES = {
     "diagonal_1e-11": ([0.0, 0.0], [[_S2, 0.0], [0.0, _S2 * (1.0 - 1e-11)]]),
     "off_diagonal_1e-13": ([0.0, 0.0], [[_S2, 1e-13 * _S2], [1e-13 * _S2, _S2]]),
     "3d_isotropic": ([0.0, 0.0, 0.0], np.diag([_S2, _S2, _S2]).tolist()),
+    "1d": ([0.0], [[_S2]]),
     # Off the origin, so for independent_sum only: the largest diagonal
     # entry is the second.
     "sum_1e-13_first_low": ([0.5, -0.2], [[_S2 * (1.0 - 1e-13), 0.0], [0.0, _S2]]),
@@ -543,25 +544,71 @@ _RADIAL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_RADIAL_CASES))
-def test_law_routes_only_central_isotropic_bivariate_cauchy_radially(case):
+def test_law_routes_only_central_isotropic_bivariate_cauchy_radially(case, monkeypatch):
     # The decision is allclose(scale_matrix, s2 I, rtol=1e-12, atol=0), s2 the
-    # largest diagonal entry, for a central law in the plane; independent_sum
-    # makes the same isotropy decision wherever the law is centred.
+    # largest diagonal entry, for a central law: such a law has the beta-prime
+    # shape (p/2, 1/2) in every dimension, and is integrated radially in the
+    # plane.  independent_sum makes the same isotropy decision wherever the law
+    # is centred.
     loc, sig = _RADIAL_CASES[case]
     law = MultivariateCauchy(np.array(loc), np.array(sig))
     s2 = float(np.max(np.diag(law.scale_matrix)))
     isotropic = np.allclose(law.scale_matrix, s2 * np.eye(law.dim), rtol=1e-12, atol=0.0)
-    expected = law.dim == 2 and not np.any(law.location) and isotropic
-    _, scale, radial, _, shape = capacity_module._law(law)
-    assert radial is expected and (shape is not None) is expected
+    expected = not np.any(law.location) and isotropic
+    scale, integrate, shape = capacity_module._law(law)
+    assert (shape is not None) is expected
     assert scale == math.sqrt(s2)
-    assert expected is (case in ("isotropic", "diagonal_1e-13_low", "diagonal_1e-13_high"))
+    assert expected is (case in ("isotropic", "diagonal_1e-13_low", "diagonal_1e-13_high",
+                                 "3d_isotropic", "1d"))
+    if expected:
+        assert shape[:2] == (0.5 * law.dim, 0.5)
+    if law.dim == 2:
+        routes = []
+        for route in ("radial_integral", "plane_integral"):
+            monkeypatch.setattr(capacity_module, route,
+                                lambda *a, route=route, **kw: routes.append(route) or 1.0)
+        integrate(lambda f, r: f)
+        assert routes == ["radial_integral" if expected else "plane_integral"]
     if law.dim == 2 and isotropic:
         total = isotropic_cauchy(2, 2.0 * math.sqrt(s2)).scale_matrix
         assert np.array_equal(independent_sum(law, law).scale_matrix, total)
     elif law.dim == 2:
         with pytest.raises(ValueError, match="not isotropic"):
             independent_sum(law, law)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_central_isotropic_cauchy_of_any_dimension_takes_the_rule(p):
+    # The law is the max-entropy profile at mu = (1 + p)/2, and takes the
+    # beta-prime rule as the profile does; before, p >= 3 raised "quadrature
+    # supports dimensions 1 and 2".
+    spec = ConstraintSpec(p)
+    law = isotropic_cauchy(p, 1.7)
+    prof = MaxentProfile(p, 1.7, 0.5 * (1 + p), spec.c)
+    assert dispersion_of(law, spec) == 1.7
+    h = entropy_estimate(law, "quadrature").value
+    assert h == pytest.approx(law.entropy(), rel=4e-15, abs=0.0)
+    for k in (1e-3, 0.5, 1.7, 3.0, 1e5):
+        assert log_moment(law, k) == log_moment(prof, k)
+
+
+def test_every_law_states_its_quadrature_frame():
+    # _law reads each law's own quadrature_frame(): (scale, integrate, shape)
+    # for the four classes with a density, None for a point mass and samples.
+    biv, prof = iso2(1.5), MaxentProfile(2, 0.8, 2.5, SPEC2.c)
+    laws = [
+        (UnivariateCauchy(0.3, 1.2), 1.2, None),
+        (biv, 1.5, (1.0, 0.5, -biv.log_norm)),
+        (prof, 0.8, (1.0, 1.5, prof.log_norm)),
+        (CustomDensity(_cauchy_pdf, 1, 0.3, 1.2), 1.2, None),
+    ]
+    for law, scale, shape in laws:
+        got_scale, integrate, got_shape = capacity_module._law(law)
+        assert got_scale == scale
+        assert (got_shape if shape is None else (*got_shape[:2], got_shape[2]())) == shape
+        assert integrate(lambda f, r: f) == pytest.approx(1.0, abs=1e-9)
+    for other in (Degenerate(0.0), Degenerate(np.zeros(2)), np.ones(5), np.ones((5, 2))):
+        assert capacity_module._law(other) is None
 
 
 @pytest.mark.parametrize("y, spec", [(np.zeros(100), SPEC1), (np.zeros((100, 2)), SPEC2)],
@@ -650,6 +697,10 @@ def test_feasibility_below_floor_errors():
 _C1 = ConstraintSpec(1).c
 
 
+def _cauchy_pdf(y):
+    return 1.0 / (math.pi * (1.0 + y * y))
+
+
 @pytest.mark.parametrize("make, match", [
     (lambda: MaxentProfile(1, 0.0, 1.0, _C1), "k must be > 0"),
     (lambda: MaxentProfile(1, -1.0, 1.0, _C1), "k must be > 0"),
@@ -664,9 +715,36 @@ _C1 = ConstraintSpec(1).c
     (lambda: GaussianSpec(-1.0), "variance must be >= 0"),
     (lambda: feasibility(UnivariateCauchy(0.0, 1.0), math.nan, ChannelGeometry(2), SPEC1),
      "dispersion level must be > 0"),
+    (lambda: MaxentProfile(0, 1.0, 1.0, _C1), "p must be a whole number >= 1"),
+    (lambda: MaxentProfile(1.5, 1.0, 1.0, _C1), "p must be a whole number >= 1"),
+    (lambda: MaxentProfile(-1, 1.0, 1.0, _C1), "p must be a whole number >= 1"),
+    (lambda: MaxentProfile(math.nan, 1.0, 1.0, _C1), "p must be a whole number >= 1"),
+    (lambda: CustomDensity(_cauchy_pdf, 0), "dim must be 1 or 2"),
+    (lambda: CustomDensity(_cauchy_pdf, 3), "dim must be 1 or 2"),
+    (lambda: CustomDensity(_cauchy_pdf, 1, center=math.nan), "center must be finite"),
+    (lambda: CustomDensity(_cauchy_pdf, 2, center=(0.0, math.inf)), "center must be finite"),
+    (lambda: CustomDensity(_cauchy_pdf, 1, center=(0.0, 0.0)), "center must be finite"),
+    (lambda: CustomDensity(_cauchy_pdf, 2, center=(0.0, 0.0, 0.0)), "center must be finite"),
+    (lambda: CustomDensity(_cauchy_pdf, 1, scale=0.0), "scale must be > 0"),
+    (lambda: CustomDensity(_cauchy_pdf, 1, scale=math.inf), "scale must be > 0"),
+    (lambda: CustomDensity(_cauchy_pdf, 1, scale=math.nan), "scale must be > 0"),
+    (lambda: capacity_table([2.0], lam=0.0, sigma=1.0), "lam must be > 0"),
+    (lambda: capacity_table([2.0], lam=-1.0, sigma=1.0), "lam must be > 0"),
+    (lambda: capacity_table([2.0], lam=math.nan, sigma=1.0), "lam must be > 0"),
+    (lambda: capacity_table([2.0], lam=math.inf, sigma=1.0), "lam must be > 0"),
+    (lambda: capacity_table([2.0], lam=1.0, sigma=0.0), "sigma must be > 0"),
+    (lambda: capacity_table([2.0], lam=1.0, sigma=math.nan), "sigma must be > 0"),
+    (lambda: capacity_table([2.0, math.inf], lam=1.0, sigma=1.0), "every A must be finite"),
+    (lambda: capacity_table([math.nan], lam=1.0, sigma=1.0), "every A must be finite"),
 ], ids=["profile_k_0", "profile_k_negative", "profile_k_nan", "profile_mu_below_pole",
         "profile_mu_at_pole", "profile_mu_inf", "profile_target_nan", "maxent_k_inf",
-        "gaussian_nan", "gaussian_inf", "gaussian_negative", "feasibility_level_nan"])
+        "gaussian_nan", "gaussian_inf", "gaussian_negative", "feasibility_level_nan",
+        "profile_p_0", "profile_p_1.5", "profile_p_negative", "profile_p_nan",
+        "custom_dim_0", "custom_dim_3", "custom_center_nan", "custom_center_inf",
+        "custom_center_2_coords_on_the_line", "custom_center_3_coords_in_the_plane",
+        "custom_scale_0", "custom_scale_inf", "custom_scale_nan",
+        "table_lam_0", "table_lam_negative", "table_lam_nan", "table_lam_inf", "table_sigma_0",
+        "table_sigma_nan", "table_A_inf", "table_A_nan"])
 def test_law_parameters_are_checked(make, match):
     with pytest.raises(ValueError, match=match):
         make()
