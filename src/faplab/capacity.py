@@ -159,6 +159,10 @@ class CustomDensity:
         return self.center, self.scale, None
 
 
+# The ends of ``MaxentProfile.grid``: tan(theta) reaches +-40 scales there.
+_GRID_EDGE = math.atan(40.0)
+
+
 @dataclass(frozen=True)
 class MaxentProfile:
     """Constrained max-entropy solution f(y) proportional to (1+||y/k||^2)^(-mu)."""
@@ -209,14 +213,14 @@ class MaxentProfile:
         """ln Z + mu (psi(mu) - psi(mu - p/2)); cross-checked by quadrature in tests."""
         return self.log_norm + self.mu * w2(self.mu, 0.5 * self.p)
 
-    def grid(self, num: int = 257, span: float = 40.0):
+    def grid(self, num: int = 257):
         """Tan-spaced abscissas and normalized density values.
 
         Dimension 1 returns (y, f(y)) over a symmetric grid; dimension 2
         returns (r, f(r)) for the radial profile.
         """
         line = self.p == 1
-        theta = np.linspace(-math.atan(span) if line else 0.0, math.atan(span), num)
+        theta = np.linspace(-_GRID_EDGE if line else 0.0, _GRID_EDGE, num)
         y = self.k * np.tan(theta)
         return y, self.pdf(y if line else np.column_stack([y, np.zeros((num, self.p - 1))]))
 
@@ -278,13 +282,14 @@ def _sample_norms(y: np.ndarray, p: Optional[int]):
     if y.ndim == 1:
         mags = np.abs(y)
     else:
-        # Squares of coordinates above about 1.3e154 overflow; hypot does not.
+        # Squares of coordinates above about 1.3e154 overflow, and those below
+        # about 1e-154 lose digits as they go subnormal; hypot does neither.
         with np.errstate(over="ignore"):
             mags = np.linalg.norm(y, axis=1)
-            over = np.isinf(mags)
-            if over.any():
-                mags[over] = np.hypot.reduce(y[over], axis=1)
-                if np.isinf(mags[over]).any():
+            off = np.isinf(mags) | (mags < 2.0 ** -500)
+            if off.any():
+                mags[off] = np.hypot.reduce(y[off], axis=1)
+                if np.isinf(mags[off]).any():
                     # A finite row's norm is at most sqrt(dim) times its largest coordinate.
                     unit = 2.0 ** math.ceil(0.5 * math.log2(dim))
                     mags = np.hypot.reduce(y / unit, axis=1)
@@ -297,13 +302,12 @@ def _norms_or_law(obj, p: Optional[int]):
     """(obj, _law(obj), 1) for a law with a density; (norms, None, unit) otherwise.
 
     The sample norms and their unit are those of ``_sample_norms``; a point
-    mass counts as one sample.  The dimension is checked against p if given.
+    mass is the one sample that ``np.asarray`` makes of it.  The dimension is
+    checked against p if given.
     """
     law = _law(obj)
     if law is None:
-        y = (np.atleast_2d(obj.location) if isinstance(obj, Degenerate)
-             else np.asarray(obj, dtype=float))
-        norms, unit = _sample_norms(y, p)
+        norms, unit = _sample_norms(np.asarray(obj, dtype=float), p)
         return norms, None, unit
     if p is not None and obj.dim != p:
         raise ValueError(f"input has dimension {obj.dim}, expected {p}")
@@ -362,15 +366,18 @@ def _beta_prime_entropy(a: float, b: float, k0: float, ln_z: float):
 
     ``_beta_prime_rule`` at s = 1, in t = ln ||y/k0||^2: f(y) dy is
     e^c0 w(t) dt, c0 = a ln pi - ln Gamma(a) + 2a ln k0 - ln Z, and
-    -ln f = ln Z + (a + b) ln(1 + e^t).  ln Z is the law's own normaliser, so
-    M = 1 checks it; the rule does not assume it.
+    -ln f = ln Z + (a + b) ln(1 + e^t), so h = ln Z + (a + b) E ln(1 + e^t),
+    the mean taken with the weights normalised by their own sum: h does not
+    carry the rounding of M, whose unit cancels terms of size |ln Z|.  ln Z
+    is the law's own normaliser, so M = 1 checks it; the rule does not assume it.
     """
     t, w, tail, t_tail = _beta_prime_rule(a, b, 0.0)
+    total = w.sum() + tail
+    mean = (w @ np.logaddexp(0.0, t) + tail * t_tail) / total
     # Formed as a profile's ln Z forms them: the scale terms cancel to ln Z's own rounding.
     unit = _RULE_STEP * math.exp((a * math.log(math.pi) + 2.0 * a * math.log(k0) - ln_z)
                                  - math.lgamma(a))
-    mass = unit * (w.sum() + tail)
-    return ln_z * mass + (a + b) * unit * (w @ np.logaddexp(0.0, t) + tail * t_tail), mass
+    return ln_z + (a + b) * mean, unit * total
 
 
 def _log_moment_and_slope(obj, law, k: float, slope: bool = True):
@@ -446,8 +453,7 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     """
     obj = dist_or_samples
     if isinstance(obj, Degenerate):
-        loc = np.atleast_1d(np.asarray(obj.location, dtype=float))
-        if np.any(loc != 0.0):
+        if np.any(np.asarray(obj) != 0.0):
             raise ValueError("dispersion of an off-origin point mass is undefined")
         return 0.0
     c = spec.c
@@ -470,21 +476,23 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     raise RuntimeError("Newton's method did not converge on the dispersion")
 
 
+_FEASIBILITY_REL_TOL = 1e-9
+
+
 def feasibility(
     dist_or_samples,
     A: Union[DispersionLevel, float],
     g: ChannelGeometry,
     spec: ConstraintSpec,
-    rel_tol: float = 1e-9,
 ) -> bool:
-    """Whether the signal's dispersion lies in [noise scale, A]."""
+    """Whether the signal's dispersion lies in [noise scale, A], to a relative slack of 1e-9."""
     level = (A if isinstance(A, DispersionLevel) else DispersionLevel(float(A))).A
     if level < g.lam:
         raise InfeasibleError(
             f"dispersion level {level} below noise floor {g.lam}"
         )
     d = dispersion_of(dist_or_samples, spec)
-    slack = rel_tol * max(level, g.lam)
+    slack = _FEASIBILITY_REL_TOL * max(level, g.lam)
     return g.lam - slack <= d <= level + slack
 
 
@@ -624,14 +632,13 @@ def _quadrature_entropy(dist) -> EntropyEstimate:
         raise TypeError(f"quadrature entropy cannot handle {type(dist).__name__}")
     scale, integrate, shape = law
     if shape is not None:
-        a, b, ln_z = shape
-        return EntropyEstimate(_beta_prime_entropy(a, b, scale, ln_z())[0], "quadrature")
-    if isinstance(dist, CustomDensity):
+        h, mass = _beta_prime_entropy(shape[0], shape[1], scale, shape[2]())
+    else:
         mass = integrate(lambda f, r: f)
-        if abs(mass - 1.0) > 1e-6:
-            raise ValueError(f"density is not normalized: integral = {mass}")
-    value = integrate(lambda f, r: scipy_special().entr(f))
-    return EntropyEstimate(value, "quadrature")
+        h = integrate(lambda f, r: scipy_special().entr(f))
+    if abs(mass - 1.0) > 1e-6:
+        raise ValueError(f"density is not normalized: integral = {mass}")
+    return EntropyEstimate(h, "quadrature")
 
 
 def entropy_estimate(dist_or_samples, method: str = "quadrature") -> EntropyEstimate:
@@ -639,7 +646,8 @@ def entropy_estimate(dist_or_samples, method: str = "quadrature") -> EntropyEsti
 
     quadrature              -f ln f of a law's pdf integrated (std_error 0): by the
                             beta-prime rule for a profile or a central isotropic
-                            Cauchy law, else tanh-sinh (see ``_law``);
+                            Cauchy law, else tanh-sinh (see ``_law``); a law whose
+                            mass misses 1 by more than 1e-6 is an error;
     knn                     Kozachenko-Leonenko first-nearest-neighbor estimator on 1000
                             or more finite samples, 1-D or (n, d) rows, at any float
                             scale; tail-robust; duplicate points are dropped, with a

@@ -7,9 +7,10 @@ the like are those methods under module-level names.  A law with a density
 also states, by ``quadrature_frame``, the center, scale and beta-prime shape
 that ``faplab.capacity`` integrates it by, and the 1-D law its log-moment
 and slope in closed form, by ``log_moment_and_slope``.  The module also
-holds the closure rules this package relies on: independent sums of central
-isotropic Cauchy variables stay Cauchy with added scales, and linear
-combinations of a Cauchy vector's components are univariate Cauchy.
+holds the closure rules this package relies on: independent sums of
+isotropic Cauchy variables of any dimension stay Cauchy with added scales,
+each summand stating its scale by ``isotropic_scale`` (0 for a point mass),
+and linear combinations of a Cauchy vector's components are univariate Cauchy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .special import digamma, log_beta, log_gamma
+from .special import log_gamma, log_gamma_ratio, w2
 
 __all__ = [
     "UnivariateCauchy",
@@ -78,6 +79,10 @@ class UnivariateCauchy:
             return 2.0 * (math.log(math.hypot(self.scale + k, self.location)) - math.log(k)), 1.0
         D = (u * (u + 1.0) + v * v) / ((u + 1.0) ** 2 + v * v)
         return math.log1p(u * (u + 2.0) + v * v), D
+
+    def isotropic_scale(self) -> float:
+        """The scale gamma, which ``independent_sum`` adds."""
+        return self.scale
 
     def quadrature_frame(self):
         """(center, scale, shape) of the quadrature route: (location, scale, None)."""
@@ -228,12 +233,19 @@ class Degenerate:
 
     @property
     def dim(self) -> int:
-        loc = np.atleast_1d(np.asarray(self.location, dtype=float))
-        return loc.size
+        return np.size(self.location)
+
+    def isotropic_scale(self) -> float:
+        """0.0: a point mass adds its location and no scale to a sum."""
+        return 0.0
+
+    def __array__(self, dtype=None, copy=None):
+        """The point as one sample: shape (1,) on the line, (1, p) otherwise."""
+        loc = np.asarray(self.location, dtype=dtype or float)
+        return loc.reshape(1, -1) if loc.size > 1 else loc.reshape(1)
 
     def to_dict(self) -> dict:
-        loc = np.atleast_1d(np.asarray(self.location, dtype=float))
-        return {"family": "point_mass", "location": [float(c) for c in loc]}
+        return {"family": "point_mass", "location": np.ravel(self).tolist()}
 
 
 CauchyParams = Union[UnivariateCauchy, MultivariateCauchy, Degenerate]
@@ -271,19 +283,13 @@ def cdf_univariate(d: UnivariateCauchy, x):
 def phi_constant(p: int) -> float:
     """Dimension-only part of the p-variate Cauchy entropy.
 
-    phi(p) = ln[pi^{p/2} / Gamma(p/2) * B(p/2, 1/2)]
-             + (1+p)/2 * [psi((1+p)/2) - psi(1/2)].
+    The entropy of the unit max-entropy profile at the Cauchy exponent
+    t = (1+p)/2: phi(p) = (p/2) ln pi + ln[Gamma(1/2) / Gamma(t)] + t w2(t, p/2).
     """
     if p < 1:
         raise ValueError("dimension must be >= 1")
-    half_p = 0.5 * p
     t = 0.5 * (1 + p)
-    return (
-        half_p * math.log(math.pi)
-        - log_gamma(half_p)
-        + log_beta(half_p, 0.5)
-        + t * (digamma(t) - digamma(0.5))
-    )
+    return 0.5 * p * math.log(math.pi) + log_gamma_ratio(t, 0.5 * p) + t * w2(t, 0.5 * p)
 
 
 pdf_univariate = UnivariateCauchy.pdf
@@ -294,33 +300,21 @@ entropy_multivariate = MultivariateCauchy.entropy
 sample_multivariate = MultivariateCauchy.sample
 
 
-def _as_central_isotropic(d: CauchyParams):
-    """(location, scale) of a summand; a point mass has scale 0."""
-    if isinstance(d, Degenerate):
-        return np.atleast_1d(np.asarray(d.location, dtype=float)), 0.0
-    if isinstance(d, UnivariateCauchy):
-        return np.atleast_1d(d.location), d.scale
-    if isinstance(d, MultivariateCauchy):
-        if d.dim != 2:
-            raise ValueError("multivariate sums are supported for dimension 2 only")
-        return d.location, d.isotropic_scale()
-    raise TypeError(f"unsupported distribution type: {type(d).__name__}")
-
-
 def independent_sum(a: CauchyParams, b: CauchyParams) -> CauchyParams:
     """Law of U + V for independent Cauchy summands: scales add, locations add.
 
-    Supported pairs: two univariate, two isotropic bivariate, or either with
-    a point mass.  Anisotropic or mixed-dimension inputs are rejected.
+    Each summand states its scale by ``isotropic_scale()`` (0.0 for a point
+    mass), so isotropic laws and point masses of any matching dimension sum;
+    an anisotropic summand raises there, and mixed dimensions are rejected.
     """
-    loc_a, s_a = _as_central_isotropic(a)
-    loc_b, s_b = _as_central_isotropic(b)
+    loc_a, loc_b = (np.atleast_1d(np.asarray(d.location, dtype=float)) for d in (a, b))
     if loc_a.size != loc_b.size:
         raise ValueError("summands have different dimensions")
     loc = loc_a + loc_b
-    if isinstance(a, Degenerate) and isinstance(b, Degenerate):
+    scale = a.isotropic_scale() + b.isotropic_scale()
+    if scale == 0.0:
         return Degenerate(float(loc[0]) if loc.size == 1 else loc)
-    return isotropic_cauchy(loc.size, s_a + s_b, loc)
+    return isotropic_cauchy(loc.size, scale, loc)
 
 
 def linear_combination(d: MultivariateCauchy, v) -> UnivariateCauchy:

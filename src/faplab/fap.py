@@ -81,8 +81,6 @@ class DriftVector:
     components: tuple
 
     def __init__(self, *components: float) -> None:
-        if len(components) == 1 and isinstance(components[0], (tuple, list, np.ndarray)):
-            components = tuple(components[0])
         comps = tuple(float(c) for c in components)
         if not all(math.isfinite(c) for c in comps):
             raise ValueError("drift components must be finite")

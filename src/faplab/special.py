@@ -33,7 +33,6 @@ __all__ = [
     "bessel_k1_scaled",
     "w2",
     "log_gamma_ratio",
-    "log_beta",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
@@ -73,11 +72,6 @@ def trigamma(t: float) -> float:
     if not t > 0.0:
         raise ValueError(f"trigamma requires t > 0, got {t}")
     return float(scipy_special().zeta(2.0, t))
-
-
-def log_beta(x: float, y: float) -> float:
-    """ln B(x, y), evaluated through log_gamma so large arguments stay finite."""
-    return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
 
 
 def bessel_k1_scaled(x: float) -> float:

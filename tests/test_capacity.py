@@ -68,6 +68,10 @@ def test_log_moment_at_own_scale():
 
 def test_log_moment_degenerate():
     assert log_moment(Degenerate(0.0), 1.0) == 0.0
+    # A point mass is the one sample that np.asarray makes of it.
+    for x in (1.5, np.array([0.3, -2.0])):
+        for k in (1e-3, 0.7, 1e200):
+            assert log_moment(Degenerate(x), k) == log_moment(np.array([x]), k)
 
 
 def test_log_moment_general_k_closed_form():
@@ -209,6 +213,11 @@ def test_dispersion_on_bivariate_samples():
     assert dispersion_of(3.0 * y, SPEC2) == pytest.approx(3.0 * d, rel=1e-10)
     # Some rows' squared norms overflow at this scale.
     assert dispersion_of(1e150 * y, SPEC2) == pytest.approx(1e150 * d, rel=1e-10)
+    # Squares of coordinates below about 1e-154 go subnormal, or to 0, inside
+    # np.linalg.norm; rows whose norms are below 2^-500 take hypot instead.
+    for s in (1e-160, 1e-170, 1e-200, 1e-300):
+        assert dispersion_of(s * y, SPEC2) == pytest.approx(s * d, rel=1e-15, abs=0.0)
+        assert log_moment(s * y, s * d, 2) == pytest.approx(log_moment(y, d, 2), rel=1e-15)
     with pytest.raises(ValueError, match="input has dimension 2, expected 1"):
         dispersion_of(y, SPEC1)
     with pytest.raises(ValueError, match="input has dimension 1, expected 2"):
@@ -381,10 +390,11 @@ def _profile_entropy_by_mpmath(p: int, k: float, mu: float) -> float:
 @pytest.mark.parametrize("b", [0.01, 0.05, 0.5, 4.0])
 @pytest.mark.parametrize("p", [1, 2])
 def test_beta_prime_rule_entropy_matches_mpmath(p, b, k):
-    # The rule integrates -f ln f with the profile's own float normaliser, so
-    # its mass M carries the rounding of ln Z (an ulp of ln Z is 7.1e-15 at
-    # ln Z = 33), and the entropy carries it with M.  Seen: 2.8e-15 and
-    # 3.0e-15 at worst, at p = 2, b = 0.01, k = 1e6.
+    # The rule integrates with the profile's own float normaliser, so its mass
+    # M carries the rounding of ln Z (an ulp of ln Z is 7.1e-15 at ln Z = 33):
+    # 3.0e-15 at worst, at p = 2, b = 0.01, k = 1e6.  The entropy is ln Z plus
+    # a mean under self-normalised weights and does not carry it: 1.1e-15 at
+    # worst, at p = 1, b = 0.05, k = 1e-5.
     mu = 0.5 * p + b
     prof = MaxentProfile(p, k, mu, ConstraintSpec(p).c)
     h, mass = capacity_module._beta_prime_entropy(0.5 * p, mu - 0.5 * p, k, prof.log_norm)
@@ -394,6 +404,16 @@ def test_beta_prime_rule_entropy_matches_mpmath(p, b, k):
     unit = entropy_estimate(MaxentProfile(p, 1.0, mu, ConstraintSpec(p).c), "quadrature").value
     shift = p * math.log(k)
     assert h == pytest.approx(unit + shift, rel=0.0, abs=4e-15 * (abs(unit) + abs(shift)))
+
+
+@pytest.mark.parametrize("s", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("p", [2, 3, 10])
+def test_beta_prime_rule_entropy_at_extreme_scales(p, s):
+    # |ln Z| reaches about 3450 at p = 10 and s = 1e150; the entropy does not
+    # carry the rounding of the mass, whose unit cancels terms of that size.
+    law = isotropic_cauchy(p, s)
+    assert entropy_estimate(law, "quadrature").value == pytest.approx(law.entropy(), rel=0.0,
+                                                                      abs=1e-12)
 
 
 @pytest.mark.parametrize("p, mu", [(1, 0.51), (2, 1.05), (2, 1.01)])
@@ -913,6 +933,9 @@ def test_entropy_unnormalized_pdf_rejected():
     bad = CustomDensity(pdf=lambda y: 2.0 / (math.pi * (1.0 + y * y)), dim=1)
     with pytest.raises(ValueError, match="not normalized"):
         entropy_estimate(bad, "quadrature")
+    short = CustomDensity(pdf=lambda y: 0.9 / (math.pi * (1.0 + y * y)), dim=1)
+    with pytest.raises(ValueError, match="not normalized"):
+        entropy_estimate(short, "quadrature")
 
 
 def test_entropy_custom_density_ok():

@@ -24,6 +24,7 @@ from faplab.cauchy import (
 from faplab.capacity import _law, entropy_estimate
 from faplab.sim import ks_statistic, ks_two_sample
 from faplab.special import log_gamma
+from faplab.verify import _check_sum_closure
 
 LN_4PI = math.log(4.0 * math.pi)
 
@@ -319,6 +320,9 @@ def test_independent_sum_univariate():
     z = independent_sum(UnivariateCauchy(0.0, 1.0), UnivariateCauchy(0.0, 2.0))
     assert isinstance(z, UnivariateCauchy)
     assert z.location == 0.0 and z.scale == 3.0
+    # A central 1-D multivariate law states its scale as the univariate law does.
+    assert independent_sum(MultivariateCauchy([0.0], [[2.25]]),
+                           UnivariateCauchy(0.5, 0.5)) == UnivariateCauchy(0.5, 2.0)
 
 
 def test_independent_sum_bivariate():
@@ -334,6 +338,10 @@ def test_independent_sum_with_point_mass():
     assert isinstance(z, UnivariateCauchy) and z.scale == 1.5 and z.location == 0.0
     shifted = independent_sum(UnivariateCauchy(0.0, 1.5), Degenerate(2.0))
     assert shifted.location == 2.0
+    assert independent_sum(Degenerate(1.0), Degenerate(-0.25)) == Degenerate(0.75)
+    both = independent_sum(Degenerate([1.0, 2.0, 3.0]), Degenerate(np.array([0.5, 0.0, -1.0])))
+    assert isinstance(both, Degenerate) and isinstance(both.location, np.ndarray)
+    assert np.array_equal(both.location, [1.5, 2.0, 2.0])
 
 
 def test_independent_sum_rejects_unsupported():
@@ -344,6 +352,30 @@ def test_independent_sum_rejects_unsupported():
     aniso = MultivariateCauchy([0.0, 0.0], np.diag([1.0, 4.0]))
     with pytest.raises(ValueError):
         independent_sum(b, aniso)
+    aniso = MultivariateCauchy(np.zeros(3), np.diag([1.0, 1.0, 4.0]))
+    for other in (isotropic_cauchy(3, 1.0), Degenerate(np.zeros(3))):
+        for x, y in ((aniso, other), (other, aniso)):
+            with pytest.raises(ValueError, match="not isotropic"):
+                independent_sum(x, y)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_independent_sum_in_every_dimension(p):
+    loc_a, loc_b = np.linspace(-1.0, 1.0, p), np.arange(p) * 0.25
+    z = independent_sum(isotropic_cauchy(p, 1.25, loc_a), isotropic_cauchy(p, 0.5, loc_b))
+    assert isinstance(z, MultivariateCauchy) and z.isotropic_scale() == 1.75
+    assert np.array_equal(z.scale_matrix, 1.75**2 * np.eye(p))
+    assert np.array_equal(z.location, loc_a + loc_b)
+    shifted = independent_sum(Degenerate(loc_b), isotropic_cauchy(p, 1.25, loc_a))
+    assert shifted.isotropic_scale() == 1.25
+    assert np.array_equal(shifted.location, loc_b + loc_a)
+
+
+def test_sum_closure_in_law_in_three_dimensions():
+    # The first coordinate and the radius of summed draws against direct draws,
+    # n = 1e5 each, for three scale pairs.
+    ok, detail = _check_sum_closure(3, 4700, False)
+    assert ok, detail
 
 
 def test_sum_closure_in_law():

@@ -11,7 +11,6 @@ from faplab.special import (
     bessel_k1,
     bessel_k1_scaled,
     digamma,
-    log_beta,
     log_gamma,
     log_gamma_ratio,
     w2,
@@ -262,11 +261,3 @@ def test_log_gamma_ratio_below_the_series_and_at_integer_offsets():
         assert log_gamma_ratio(t + 2.0, 3.0) == pytest.approx(expected, rel=1e-15)
     with pytest.raises(ValueError):
         log_gamma_ratio(1.0, 1.0)
-
-
-def test_log_beta_matches_gamma_ratio():
-    # B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y)
-    for x, y in [(0.5, 0.5), (1.0, 0.5), (3.0, 4.0)]:
-        expected = math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
-        assert log_beta(x, y) == pytest.approx(expected, abs=1e-12)
-
