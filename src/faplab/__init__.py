@@ -62,7 +62,7 @@ _EXPORTS = {
         "sample_exact_zero_drift",
         "simulate_first_arrival",
     ),
-    "special": ("bessel_k1", "digamma", "log_gamma", "w2"),
+    "special": ("digamma", "log_gamma", "w2"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

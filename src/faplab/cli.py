@@ -42,9 +42,8 @@ EXIT_INFEASIBLE = 3
 # none of them is a usage error without loading numpy; equal to
 # verify.check_names().
 _VERIFY_CHECK_NAMES = (
-    "special/w2_golden_values", "special/digamma_recurrence", "special/digamma_monotone",
-    "special/k1_small_x_law", "special/k1_monotone", "special/log_gamma_convex",
-    "cauchy/normalization_univariate", "cauchy/normalization_bivariate",
+    "special/w2_golden_values", "cauchy/normalization_univariate",
+    "cauchy/normalization_bivariate",
     "cauchy/entropy_quadrature_univariate", "cauchy/entropy_quadrature_bivariate",
     "cauchy/sum_closure_univariate", "cauchy/sum_closure_bivariate",
     "cauchy/entropy_scaling", "fap/zero_drift_limit_2d", "fap/zero_drift_limit_3d",
@@ -79,6 +78,14 @@ def _checked(convert, accept, what: str):
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _positive_float = _checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number")
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+
+
+def _require_finite(values, what: str) -> None:
+    """Raise ValueError if any of values overflowed, before it reaches an output."""
+    import numpy as np
+
+    if not np.isfinite(values).all():
+        raise ValueError(f"the {what} is past the float range")
 
 
 def _channel_args(parser: argparse.ArgumentParser) -> None:
@@ -217,6 +224,7 @@ def _cmd_density(args, argv) -> int:
     from .fap import _rewrite, density_grid, write_density_grid_csv
 
     cols, grid = density_grid(g, v, x, args.ymin, args.ymax, args.points)
+    _require_finite(grid, "density grid")
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
@@ -289,6 +297,7 @@ def _cmd_maxent(args, argv) -> int:
     spec = ConstraintSpec(args.p, target=args.c)
     profile = maxent_profile(spec, args.k)
     ys, fs = profile.grid(num=args.grid_points)
+    _require_finite((ys, fs), "profile grid")
     payload = {
         "p": profile.p,
         "k": profile.k,

@@ -1,13 +1,13 @@
 """Scalar special functions used throughout the package.
 
 Thin wrappers over ``scipy.special``: log-gamma (``gammaln``), digamma
-(``psi``), trigamma (the Hurwitz ``zeta(2, t)``) and the modified Bessel
-function K1, plain (``k1``) and exponentially scaled (``k1e``).  The
-wrappers add the domain checks, return plain floats and warn when K1
-underflows.  ``w2`` is the digamma difference that fixes the dispersion
-constraint constants; for an integer offset it is psi's recurrence, exact
-and without scipy, and at large arguments the difference of psi's
-asymptotic series, which does not cancel as the digamma difference does.
+(``psi``), trigamma (the Hurwitz ``zeta(2, t)``) and the exponentially
+scaled modified Bessel function K1 (``k1e``).  The wrappers add the domain
+checks and return plain floats.  ``w2`` is the digamma difference that
+fixes the dispersion constraint constants; for an integer offset it is
+psi's recurrence, exact and without scipy, and at large arguments the
+difference of psi's asymptotic series, which does not cancel as the
+digamma difference does.
 ``log_gamma_ratio``, the log-gamma difference behind the max-entropy
 normalizer, is built the same way from the recurrence and Stirling's
 series.
@@ -22,14 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 
 __all__ = [
     "EULER_GAMMA",
     "log_gamma",
     "digamma",
     "trigamma",
-    "bessel_k1",
     "bessel_k1_scaled",
     "w2",
     "log_gamma_ratio",
@@ -80,23 +78,6 @@ def bessel_k1_scaled(x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"bessel_k1_scaled requires x > 0, got {x}")
     return float(scipy_special().k1e(x))
-
-
-def bessel_k1(x: float) -> float:
-    """Modified Bessel function of the second kind, order 1, for x > 0.
-
-    Arguments deep in the exponential tail (x beyond ~745) underflow; the
-    function then returns 0.0 and emits a RuntimeWarning rather than raising.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"bessel_k1 requires x > 0, got {x}")
-    value = float(scipy_special().k1(x))
-    if value == 0.0:
-        warnings.warn(
-            f"bessel_k1 underflowed to 0 at x={x}", RuntimeWarning, stacklevel=2
-        )
-    return value
 
 
 def w2(t: float, a: float) -> float:
@@ -151,7 +132,8 @@ def log_gamma_ratio(t: float, a: float) -> float:
     the difference of Stirling's series at x = t - a and y = t, rearranged
     so that nothing of size t ln(t) is formed:
     (x - 1/2) log1p(-a/t) + a - a ln(t) plus the difference of the 1/(12x)
-    tails, whose truncation is below 1e-17 there.
+    tails, whose truncation is below 1e-17 there.  At t = inf it is the
+    limit, -inf for a > 0, on every route.
     """
     t = float(t)
     a = float(a)
@@ -162,5 +144,7 @@ def log_gamma_ratio(t: float, a: float) -> float:
     x = t - a
     if x < _ASYMPTOTIC_MIN:
         return log_gamma(x) - log_gamma(t)
+    if t == math.inf:
+        return -math.inf
     head = (x - 0.5) * math.log1p(-a / t) + a - a * math.log(t)
     return head + (_stirling_tail(x) - _stirling_tail(t))

@@ -8,7 +8,6 @@ from scipy import integrate
 
 from faplab.special import (
     EULER_GAMMA,
-    bessel_k1,
     bessel_k1_scaled,
     digamma,
     log_gamma,
@@ -70,7 +69,7 @@ def test_log_gamma_domain():
 
 def test_log_gamma_convexity():
     h = 1e-3
-    for t in np.geomspace(0.05, 50.0, 100):
+    for t in np.geomspace(1e-2, 50.0, 400):
         second = log_gamma(t + h) - 2.0 * log_gamma(t) + log_gamma(t - h) if t > h else 0.0
         assert second >= -1e-12
 
@@ -98,13 +97,13 @@ def test_digamma_vs_lgamma_derivative():
 def test_digamma_recurrence_grid():
     worst = max(
         abs(digamma(t + 1.0) - digamma(t) - 1.0 / t)
-        for t in np.linspace(0.1, 100.0, 3000)
+        for t in np.linspace(0.1, 100.0, 5000)
     )
     assert worst <= 1e-12
 
 
 def test_digamma_monotone():
-    ts = np.geomspace(1e-3, 1e3, 500)
+    ts = np.geomspace(1e-3, 1e3, 2000)
     vals = [digamma(t) for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -122,18 +121,7 @@ def test_digamma_recurrence_property(t):
     assert abs(digamma(t + 1.0) - digamma(t) - 1.0 / t) <= 1e-12
 
 
-# bessel_k1 ----------------------------------------------------------------
-
-
-def test_k1_small_argument_limit():
-    x = 1e-6
-    assert abs(x * bessel_k1(x) - 1.0) <= 1e-5
-
-
-def test_k1_reference_values():
-    # Frozen from the integral-representation oracle.
-    assert bessel_k1(1.0) == pytest.approx(0.6019072301972346, rel=1e-12)
-    assert bessel_k1(10.0) == pytest.approx(1.8648773453825582e-05, rel=1e-12)
+# bessel_k1_scaled ---------------------------------------------------------
 
 
 def test_k1_against_quadrature_oracle():
@@ -142,34 +130,10 @@ def test_k1_against_quadrature_oracle():
         assert bessel_k1_scaled(x) == pytest.approx(expected, rel=1e-10)
 
 
-def test_k1_deep_tail_via_logs():
-    x = 700.0
-    log_mine = math.log(bessel_k1(x))
-    log_oracle = math.log(k1_oracle_scaled(x)) - x
-    assert log_mine == pytest.approx(log_oracle, abs=1e-10)
-
-
-def test_k1_monotone_decreasing():
-    xs = np.geomspace(1e-8, 600.0, 400)
-    vals = [bessel_k1(x) for x in xs]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_k1_small_x_envelope():
-    for x in np.geomspace(1e-8, 1e-4, 40):
-        assert abs(x * bessel_k1(x) - 1.0) <= 5e-4 * abs(math.log(x))
-
-
-def test_k1_underflow_warns_and_returns_zero():
-    with pytest.warns(RuntimeWarning):
-        assert bessel_k1(5000.0) == 0.0
-
-
 def test_k1_domain():
-    with pytest.raises(ValueError):
-        bessel_k1(0.0)
-    with pytest.raises(ValueError):
-        bessel_k1(-1.0)
+    for x in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            bessel_k1_scaled(x)
 
 
 # w2 -----------------------------------------------------------------------
@@ -261,3 +225,9 @@ def test_log_gamma_ratio_below_the_series_and_at_integer_offsets():
         assert log_gamma_ratio(t + 2.0, 3.0) == pytest.approx(expected, rel=1e-15)
     with pytest.raises(ValueError):
         log_gamma_ratio(1.0, 1.0)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 2.5, 17.0])
+def test_log_gamma_ratio_at_infinity_is_the_limit(a):
+    # Integer a up to 16 takes the recurrence, the others Stirling's series.
+    assert log_gamma_ratio(math.inf, a) == -math.inf
