@@ -16,7 +16,7 @@ and linear combinations of a Cauchy vector's components are univariate Cauchy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Union
 
@@ -105,8 +105,22 @@ class UnivariateCauchy:
         return {"family": "cauchy", "location": self.location, "scale": self.scale}
 
 
-@dataclass(frozen=True)
-class MultivariateCauchy:
+class _ByValue:
+    """Equality and hashing by the values of the compared fields, numpy arrays among them."""
+
+    def _key(self) -> tuple:
+        return tuple(tuple(np.ravel(getattr(self, f.name)).tolist())
+                     for f in fields(self) if f.compare)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class MultivariateCauchy(_ByValue):
     """p-variate Cauchy with location vector and symmetric positive-definite scale matrix."""
 
     location: np.ndarray
@@ -225,8 +239,8 @@ class MultivariateCauchy:
         }
 
 
-@dataclass(frozen=True)
-class Degenerate:
+@dataclass(frozen=True, eq=False)
+class Degenerate(_ByValue):
     """Point mass: the zero-dispersion limit, kept distinct from scale -> 0."""
 
     location: Union[float, np.ndarray] = 0.0

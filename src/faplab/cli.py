@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -183,7 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
     p_tab.add_argument("--sigma", type=_positive_float, default=1.0)
     p_tab.add_argument("--out", type=Path, required=True)
-
+    # argparse reads "-1e-3" as a flag unless told it is a negative number.
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return parser
 
 

@@ -92,6 +92,24 @@ def test_isotropic_cauchy_rejects_scale_whose_square_leaves_float_range(p, scale
     assert isotropic_cauchy(1, scale).scale == scale
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_multivariate_laws_compare_and_hash_by_value(p):
+    a, b = isotropic_cauchy(p, 1.0), isotropic_cauchy(p, 1.0)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a == MultivariateCauchy(np.zeros(p), np.eye(p))
+    assert a != isotropic_cauchy(p, 2.0)
+    assert a != isotropic_cauchy(p, 1.0, np.r_[1.0, np.zeros(p - 1)])
+    assert a != isotropic_cauchy(5 - p, 1.0) and a != "law"
+    skew = np.eye(p)
+    skew[0, 1] = skew[1, 0] = 0.5
+    assert MultivariateCauchy(np.zeros(p), skew) != a
+    # -0.0 == 0.0, so their hashes agree too.
+    assert hash(MultivariateCauchy(-np.zeros(p), np.eye(p))) == hash(a)
+    point = Degenerate(np.zeros(p))
+    assert point == Degenerate(np.zeros(p)) and hash(point) == hash(Degenerate(np.zeros(p)))
+    assert point != Degenerate(np.ones(p)) and point != a
+
+
 def test_isotropic_cauchy_rejects_bad_dimension_and_location():
     with pytest.raises(ValueError, match="dimension"):
         isotropic_cauchy(0, 1.0)

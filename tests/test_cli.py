@@ -14,7 +14,7 @@ import pytest
 
 import faplab
 from faplab import __version__
-from faplab.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, rerun_from_manifest, run
+from faplab.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, build_parser, rerun_from_manifest, run
 from faplab.special import w2
 
 
@@ -71,6 +71,29 @@ def test_capacity_json_is_valid_or_the_level_is_rejected(capsys, channel, A):
     else:
         assert rc == 1 and out == ""
         assert f"error: scale {float(A)} is out of range: its square overflows" in err
+
+
+@pytest.mark.parametrize(
+    "argv, dest, value",
+    [
+        (["density", "-n", "3", "--vz", "-1e-3", "--out", "d"], "vz", -1e-3),
+        (["density", "-n", "2", "--x1", "-2e0", "--out", "d"], "x1", -2.0),
+        (["density", "--ymin", "-1e2", "--out", "d"], "ymin", -100.0),
+        (["simulate", "--vx", "-1.5E+2", "--out", "d"], "vx", -150.0),
+        (["capacity", "--channel", "fap2d", "--A", "-1e-3"], "A", -1e-3),
+        (["maxent", "--c", "-.5e1"], "c", -5.0),
+        (["table1", "--a-min", "-1.e0", "--out", "d"], "a_min", -1.0),
+    ],
+)
+def test_negative_numbers_in_exponent_notation_are_values(argv, dest, value):
+    assert getattr(build_parser().parse_args(argv), dest) == value
+
+
+@pytest.mark.parametrize("flags", [["-n", "3", "--vz", "-1e-3"], ["-n", "2", "--x1", "-2e0"],
+                                   ["--ymin", "-1e2"]])
+def test_density_takes_negative_numbers_in_exponent_notation(flags, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["density", *flags, "--points", "5", "--out", "d"]) == EXIT_OK
 
 
 def test_unknown_flag_usage_error():

@@ -106,6 +106,23 @@ def test_ks_statistic_empty_errors():
         ks_statistic([], lambda x: x)
 
 
+def test_ks_statistics_reject_nan_samples():
+    cdf = lambda x: np.clip(x, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        ks_statistic([0.1, math.nan, 0.5], cdf)
+    with pytest.raises(ValueError, match="NaN"):
+        ks_two_sample([0.1, math.nan], [0.2, 0.3])
+    with pytest.raises(ValueError, match="NaN"):
+        ks_two_sample([0.2, 0.3], [math.nan, 0.1])
+
+
+def test_ks_statistics_take_infinite_samples():
+    # A CDF is defined at +-inf: 0 and 1 there.
+    cdf = lambda x: np.clip(x, 0.0, 1.0)
+    assert ks_statistic([-math.inf, 0.5, math.inf], cdf) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert ks_two_sample([-math.inf, 0.5], [0.5, math.inf]) == 0.5
+
+
 def test_ks_exact_cauchy_samples():
     run = sample_exact_zero_drift(G2, n=100_000, seed=3)
     assert ks_statistic(run.transverse_1d(), STD_CAUCHY_CDF) < 0.0052
