@@ -284,8 +284,7 @@ def _sample_norms(y: np.ndarray, p: Optional[int]):
     else:
         # Squares of coordinates above about 1.3e154 overflow, and those below
         # about 1e-154 lose digits as they go subnormal; hypot does neither.
-        # Summed column by column, the squares give np.linalg.norm(y, axis=1)
-        # bit for bit below 8 columns, in a fifth of its time at 2.
+        # In place, column by column: np.linalg.norm's bits below 8 columns, 4x faster at 2.
         with np.errstate(over="ignore"):
             mags = np.square(y[:, 0])
             for j in range(1, dim):
@@ -546,15 +545,10 @@ def _nearest_neighbor_distances(x: np.ndarray):
 
 
 def _knn_entropy(samples: np.ndarray) -> EntropyEstimate:
-    """Kozachenko-Leonenko entropy of y from the distances of w = y / t, t = (r + s) / 2.
+    """Kozachenko-Leonenko entropy of y on the line, else of w = y / t plus the Jacobian.
 
-    r is a row's norm from ``_sample_norms`` (of y / unit, a power of 2) and s
-    the median of every r.  The map w = y / (a ||y|| + b) has the exact
-    Jacobian h(Y) = h(W) - ln b + (d + 1) E ln(a ||y|| + b), so h(Y) = h(W) -
-    ln(s / 2) + (d + 1) E ln t at any unit, and w lies within 2 unit of 0
-    whatever the tail.  The standard error is that of the terms d ln eps +
-    (d + 1) ln t.  On the line, rows past about 2^54 s on one side all map to
-    w = +-2.
+    t = (r + s) / 2 for row norms r and their median s.  Any w = y / (a ||y|| + b),
+    a, b > 0, has the Jacobian term -ln b + (d + 1) E ln(a ||y|| + b): the norms' unit drops out.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -565,37 +559,41 @@ def _knn_entropy(samples: np.ndarray) -> EntropyEstimate:
     n, d = x.shape
     if n < 1000:
         raise ValueError("nearest-neighbor entropy needs at least 1000 samples")
-    # On the line the map is monotone, so sorting y sorts w up to rounding.
-    y = np.sort(x[:, 0]) if d == 1 else x
-    t = _sample_norms(y, None)[0]
-    s = float(np.partition(t, n // 2)[n // 2]) or 1.0  # a median that cannot overflow
-    t *= 0.5  # (r + s) / 2 cannot overflow
-    t += 0.5 * s
-    if d == 1:
-        gaps = np.diff(np.divide(y, t, out=y))
-        np.abs(gaps, out=gaps)  # rounding can swap the images of adjacent floats
-        eps = y  # spent: it takes the distances
-        eps[0], eps[-1] = gaps[0], gaps[-1]
-        np.minimum(gaps[:-1], gaps[1:], out=eps[1:-1])
-        del gaps
-        blocks = ((0, eps),)
-    else:
-        perm = _cell_order(y, t)
-        t = t[perm]
-        w = np.take(y, perm, axis=0)
-        del perm
-        w /= t[:, None]
-        blocks = _nearest_neighbor_distances(w)
-        del w  # the tree's data: it goes with the tree once the queries end
-    terms = np.log(t, out=t)
-    terms *= d + 1
     with np.errstate(divide="ignore"):  # a duplicate's distance is 0: its term is -inf
-        for start, eps in blocks:
-            np.log(eps, out=eps)
-            eps *= d
-            terms[start:start + len(eps)] += eps
-            del eps  # the block's result goes before the next query
-    del blocks
+        if d == 1:
+            # The smaller gap to a sorted neighbour; only the gap across 0 can
+            # pass the float range, and none of y / 2 can.
+            y = np.sort(x[:, 0])
+            if not np.isfinite(y[[0, -1]]).all():  # NaN sorts last
+                raise ValueError("nearest-neighbor entropy needs finite samples (got NaN or inf)")
+            shift = math.log(2.0) if float(y[-1]) - float(y[0]) == math.inf else 0.0
+            if shift:
+                y *= 0.5
+            gaps = np.diff(y)
+            terms = y  # spent: it takes the distances
+            terms[0], terms[-1] = gaps[0], gaps[-1]
+            np.minimum(gaps[:-1], gaps[1:], out=terms[1:-1])
+            del gaps
+            np.log(terms, out=terms)
+        else:
+            t = _sample_norms(x, None)[0]
+            s = float(np.partition(t, n // 2)[n // 2]) or 1.0  # a median that cannot overflow
+            shift = -math.log(0.5 * s)
+            t *= 0.5  # (r + s) / 2 cannot overflow
+            t += 0.5 * s
+            perm = _cell_order(x, t)
+            t = t[perm]
+            w = np.take(x, perm, axis=0)
+            del perm
+            w /= t[:, None]
+            terms = np.log(t, out=t)
+            terms *= d + 1
+            for start, eps in _nearest_neighbor_distances(w):
+                np.log(eps, out=eps)
+                eps *= d
+                terms[start:start + len(eps)] += eps
+                del eps  # the block's result goes before the next query
+            del w  # the tree's data
     mask = terms > -math.inf
     m = int(mask.sum())
     if m < 2:
@@ -609,7 +607,7 @@ def _knn_entropy(samples: np.ndarray) -> EntropyEstimate:
         )
         terms = terms[mask]
     log_unit_ball = 0.5 * d * math.log(math.pi) - log_gamma(0.5 * d + 1.0)
-    value = digamma(m) + EULER_GAMMA + log_unit_ball + float(np.mean(terms)) - math.log(0.5 * s)
+    value = digamma(m) + EULER_GAMMA + log_unit_ball + float(np.mean(terms)) + shift
     stderr = float(np.std(terms, ddof=1)) / math.sqrt(m)
     return EntropyEstimate(value, "knn", stderr)
 
@@ -662,9 +660,9 @@ def entropy_estimate(dist_or_samples, method: str = "quadrature") -> EntropyEsti
                             mass misses 1 by more than 1e-6 is an error;
     knn                     Kozachenko-Leonenko first-nearest-neighbor estimator on 1000
                             or more finite samples, 1-D or (n, d) rows, at any float
-                            scale: distances of u = y / (||y|| + s), s the median
-                            norm, plus the map's exact Jacobian -ln s + (d + 1)
-                            E ln(||y|| + s) (see ``_knn_entropy``); duplicate points
+                            scale: gaps of sorted samples on the line, else distances
+                            of u = y / (||y|| + s), s the median norm, plus the exact
+                            Jacobian -ln s + (d + 1) E ln(||y|| + s); duplicate points
                             are dropped, with a RuntimeWarning;
     histogram_transformed   histogram of arctan(y/s) plus the exact Jacobian
                             correction, univariate samples only.

@@ -18,13 +18,12 @@ count is capped by the FAPLAB_THREADS environment variable and never
 affects results.
 
 Each subcommand imports what it uses only after the arguments parse, so
-``--version``, ``--help`` and usage errors load no numpy.
+``--version``, ``--help`` and usage errors load neither numpy nor json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -184,10 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--lambda", dest="lam", type=_positive_float, default=1.0)
     p_tab.add_argument("--sigma", type=_positive_float, default=1.0)
     p_tab.add_argument("--out", type=Path, required=True)
-    # argparse reads "-1e-3" as a flag unless told it is a negative number.
+    # argparse reads an argument as a negative number, not a flag, where its private
+    # _negative_number_matcher matches; Python 3.11's takes "-1" and "-1.5" but not "-1e-3".
     for p in (parser, *sub.choices.values()):
-        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
+
+
+def _json_text(obj) -> str:
+    """obj as indented JSON with sorted keys; json loads on first use, not at start-up."""
+    import json
+
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _write_manifest(out_dir: Path, subcommand: str, argv: Sequence[str], params: dict,
@@ -205,12 +212,13 @@ def _write_manifest(out_dir: Path, subcommand: str, argv: Sequence[str], params:
     from .fap import _rewrite
 
     with _rewrite(out_dir / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(manifest) + "\n")
 
 
 def rerun_from_manifest(manifest_path, out_dir=None) -> int:
     """Re-run the argv recorded in a manifest, optionally redirecting --out."""
+    import json
+
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     argv = list(manifest["argv"])
@@ -237,8 +245,7 @@ def _cmd_density(args, argv) -> int:
         path = out / "density.json"
         payload = [dict(zip(cols, row)) for row in grid.tolist()]
         with _rewrite(path) as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(payload) + "\n")
     _write_manifest(out, "density", argv, {
         "dimension": args.dimension, "lam": args.lam, "sigma2": args.sigma2,
         "drift": list(v.components), "x": list(x),
@@ -281,7 +288,7 @@ def _cmd_capacity(args, argv) -> int:
     started = time.time()
     floor = args.sigma if args.channel == "gaussian" else args.lam
     result = capacity_closed_form(args.channel, args.A, floor)
-    payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
+    payload = _json_text(result.to_dict())
     print(payload)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -309,7 +316,7 @@ def _cmd_maxent(args, argv) -> int:
         "entropy_nats": profile.entropy_closed_form(),
         "grid": [[float(y), float(f)] for y, f in zip(ys, fs)],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json_text(payload)
     print(text)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -387,10 +387,8 @@ def ks_statistic(samples, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a callable CDF; NaN samples are an error."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
-    if n == 0:
-        raise ValueError("ks_statistic requires a non-empty sample")
-    if np.isnan(x[-1]):  # sorting puts NaN last
-        raise ValueError("ks_statistic requires samples without NaN")
+    if n == 0 or np.isnan(x[-1]):  # sorting puts NaN last
+        raise ValueError("ks_statistic requires a non-empty sample without NaN")
     f = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
@@ -400,10 +398,8 @@ def ks_two_sample(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic; NaN samples are an error."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("ks_two_sample requires non-empty samples")
-    if np.isnan(a[-1]) or np.isnan(b[-1]):  # sorting puts NaN last
-        raise ValueError("ks_two_sample requires samples without NaN")
+    if a.size == 0 or b.size == 0 or np.isnan(a[-1]) or np.isnan(b[-1]):  # NaN sorts last
+        raise ValueError("ks_two_sample requires non-empty samples without NaN")
     both = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, both, side="right") / a.size
     cdf_b = np.searchsorted(b, both, side="right") / b.size

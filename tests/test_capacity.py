@@ -1,10 +1,12 @@
 import contextlib
 import math
+import platform
 import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -879,13 +881,13 @@ def test_cell_order_is_a_stable_sort_by_cell(d, case, seed):
     assert np.array_equal(perm, np.argsort(code, kind="stable"))
 
 
-@pytest.mark.parametrize("d, case", [(2, "a_third"), (3, "a_third"), (4, "a_third"),
-                                     (1, "all"), (2, "all"), (3, "all"), (4, "all")])
+@pytest.mark.parametrize("case", ["a_third", "all"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_entropy_knn_is_exact_in_scale_near_the_float_maximum(d, case):
     # A third of the rows, or every row, near 1.7e308: the norms overflow
     # (d > 1), and with every row there the median norm plus the largest
-    # would too.  Each case is a power of 2 away from one in the float range.
-    # (On the line, a third of the rows that far out would count as duplicates.)
+    # would too; on the line, gaps across 0 pass the float range.  Each case
+    # is a power of 2 away from one in the float range.
     rng = np.random.default_rng(29)
     y = rng.standard_cauchy((3000, d))
     rows = slice(None, None, 3) if case == "a_third" else slice(None)
@@ -927,14 +929,19 @@ def test_entropy_knn_does_not_depend_on_row_order(d):
 # kNN estimates (value, std_error) as float.hex, of 20,000 isotropic Cauchy
 # rows of scale 1 drawn with the seed given, taken with numpy 2.4.6 and
 # scipy 1.17.1 on x86-64.  A change to the estimator that is meant to leave
-# it bit for bit as it was must leave these.
+# it bit for bit as it was must leave these.  Other versions or machines may
+# round differently, so the test runs only where the pins were taken.
 PINNED_KNN = {
-    1: (41, "0x1.446d5443a171fp+1", "0x1.ffcd447e8d287p-7"),
+    1: (41, "0x1.446b7088518bcp+1", "0x1.ffb4ead4fe7bfp-7"),
     2: (42, "0x1.37372e8c0e39fp+2", "0x1.7fa676abf07eap-6"),
     3: (43, "0x1.c4e362ec8a3e0p+2", "0x1.f4b608f15dd59p-6"),
 }
 
 
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__, platform.machine()) != ("2.4.6", "1.17.1", "x86_64"),
+    reason="the pins hold for numpy 2.4.6 and scipy 1.17.1 on x86-64",
+)
 @pytest.mark.parametrize("d", sorted(PINNED_KNN))
 def test_entropy_knn_is_pinned(d):
     seed, value, std_error = PINNED_KNN[d]
@@ -947,7 +954,8 @@ def test_entropy_knn_is_pinned(d):
 def test_entropy_knn_is_exact_in_scale_at_the_ends_of_the_float_range(k, d):
     # Squared distances of 2-D samples near 2^500 overflow, and those of
     # samples near 2^-1000 underflow to 0; distances of the bounded map's
-    # image do neither, and the map takes the scale out exactly.
+    # image do neither, and the map takes the scale out exactly.  On the
+    # line the gaps of sorted samples scale exactly.
     y = np.random.default_rng(23).standard_cauchy((20_000, d))
     unit = entropy_estimate(y, "knn")
     with warnings.catch_warnings():
