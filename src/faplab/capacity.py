@@ -30,8 +30,6 @@ code here reads a law's type.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,7 +39,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .cauchy import Degenerate, independent_sum, isotropic_cauchy
-from .fap import ChannelGeometry, _rewrite, zero_drift_reduction
+from .fap import ChannelGeometry, zero_drift_reduction
 from .quadrature import line_integral, plane_integral, radial_integral
 from .special import EULER_GAMMA, digamma, log_gamma, log_gamma_ratio, scipy_special, trigamma, w2
 
@@ -62,9 +60,8 @@ __all__ = [
     "capacity_closed_form",
     "maxent_profile",
     "capacity_table",
-    "write_capacity_table_csv",
-    "write_capacity_table_json",
-    "write_curve_files",
+    "capacity_table_csv",
+    "curve_files",
 ]
 
 
@@ -438,7 +435,7 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
 
     Newton's method in u = ln k on g(u) = L(e^u) - c, started at a robust
     scale s (heavy tails make moment-based initial guesses useless): the
-    law's own scale, or the median sample norm.  g is decreasing and convex,
+    law's own scale, or the middle sample norm.  g is decreasing and convex,
     as each ln(1 + q e^(-2u)) is, with g'(u) = -2 D for the slope D of
     ``_log_moment_and_slope``, which gives L and D from one evaluation; the
     step is u += (L - c) / (2 D).  From right of the root (g < 0) a step
@@ -464,7 +461,10 @@ def dispersion_of(dist_or_samples, spec: ConstraintSpec) -> float:
     if not c > 0.0:
         raise ValueError(f"constraint value {c} is outside the attainable range (0, inf)")
     obj, law, unit = _norms_or_law(obj, spec.p)
-    k = law[0] if law is not None else float(np.median(obj)) or 1.0
+    if law is not None:
+        k = law[0]
+    else:  # the upper middle norm: the mean of the two middle norms can overflow
+        k = float(np.partition(obj, obj.size // 2)[obj.size // 2]) or 1.0
     for _ in range(_DISPERSION_MAX_STEPS):
         L, D = _log_moment_and_slope(obj, law, k)
         if not math.isfinite(L):
@@ -845,37 +845,21 @@ def capacity_table(A_values: Sequence[float], lam: float, sigma: float):
     return rows
 
 
-def write_capacity_table_csv(rows, path) -> None:
-    with _rewrite(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["A", "C_gauss", "C_2d", "C_3d"])
-        for r in rows:
-            writer.writerow(
-                [repr(r["A"]), repr(r["C_gauss"]), repr(r["C_2d"]), repr(r["C_3d"])]
-            )
+def capacity_table_csv(rows) -> str:
+    """CSV text of ``capacity_table`` rows: A, C_gauss, C_2d, C_3d in shortest round-trip form."""
+    keys = ("A", "C_gauss", "C_2d", "C_3d")
+    lines = [",".join(keys)] + [",".join(repr(r[key]) for key in keys) for r in rows]
+    return "\r\n".join(lines) + "\r\n"
 
 
-def write_capacity_table_json(rows, path) -> None:
-    with _rewrite(path) as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_curve_files(rows, out_dir) -> list:
-    """Two-column gnuplot-ready files, one per capacity curve."""
-    import os
-
-    paths = []
-    for key, name in (
-        ("C_gauss", "curve_gaussian.dat"),
-        ("C_2d", "curve_fap2d.dat"),
-        ("C_3d", "curve_fap3d.dat"),
-    ):
-        path = os.path.join(out_dir, name)
-        with _rewrite(path) as fh:
-            fh.write("# A  capacity_nats\n")
-            for r in rows:
-                if not math.isnan(r[key]):
-                    fh.write(f"{r['A']!r} {r[key]!r}\n")
-        paths.append(path)
-    return paths
+def curve_files(rows) -> dict:
+    """{name: text} of two-column gnuplot-ready files, one per capacity curve."""
+    return {
+        name: "# A  capacity_nats\n"
+        + "".join(f"{r['A']!r} {r[key]!r}\n" for r in rows if not math.isnan(r[key]))
+        for key, name in (
+            ("C_gauss", "curve_gaussian.dat"),
+            ("C_2d", "curve_fap2d.dat"),
+            ("C_3d", "curve_fap3d.dat"),
+        )
+    }

@@ -9,11 +9,11 @@ Subcommands:
   verify     the full invariant suite, one pass/fail line per check
   table1     capacity table CSV/JSON plus gnuplot-ready curve files
 
-Every file-writing run records a manifest (subcommand, resolved parameters,
-seed, version, outputs, duration) next to its outputs; re-running the argv
-stored in a manifest reproduces the primary outputs byte for byte.  A rerun
-into an existing --out rewrites each file in place (``fap._rewrite``, which
-does not truncate on open) and leaves the bytes of a fresh directory.  Worker
+Every output file is written here, by ``_write_outputs``, with a manifest
+(subcommand, resolved parameters, seed, version, outputs, duration); re-running
+the argv stored in a manifest reproduces the primary outputs byte for byte.  A
+rerun into an existing --out rewrites each file in place (``_rewrite`` does not
+truncate on open) and leaves the bytes of a fresh directory.  Worker
 count is capped by the FAPLAB_THREADS environment variable and never
 affects results.
 
@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
+import stat
 import sys
 import time
 from pathlib import Path
@@ -191,32 +193,45 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _json_text(obj) -> str:
-    """obj as indented JSON with sorted keys; json loads on first use, not at start-up."""
+    """obj as indented JSON with sorted keys and a final newline; json loads on first use."""
     import json
 
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(out_dir: Path, subcommand: str, argv: Sequence[str], params: dict,
-                    outputs: Sequence[str], started: float, seed: Optional[int] = None) -> None:
-    manifest = {
-        "tool": "faplab",
-        "version": __version__,
-        "subcommand": subcommand,
-        "argv": list(argv),
-        "params": params,
-        "seed": seed,
-        "outputs": sorted(str(o) for o in outputs),
+def _rewrite(path: Path, text: str) -> None:
+    """Write text as ``open(path, "w", newline="")`` would, but without O_TRUNC.
+
+    On ext4 (``auto_da_alloc``) a file truncated to zero is flushed at close,
+    and the next rewrite of it waits for that writeback.  Bytes, inode, mode
+    and symlink-following are those of ``open(path, "w")``, and so is the new
+    prefix an exception leaves.  A device or pipe, which O_TRUNC leaves alone,
+    is not cut either.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="") as fh:
+        try:
+            fh.write(text)
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
+def _write_outputs(out: Path, files: dict, subcommand: str, argv: Sequence[str], params: dict,
+                   started: float, seed: Optional[int] = None) -> None:
+    """Write each {name: text} of files into out, then the run's manifest."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        _rewrite(out / name, text)
+    _rewrite(out / "manifest.json", _json_text({
+        "tool": "faplab", "version": __version__, "subcommand": subcommand,
+        "argv": list(argv), "params": params, "seed": seed, "outputs": sorted(files),
         "duration_s": time.time() - started,
-    }
-    from .fap import _rewrite
-
-    with _rewrite(out_dir / "manifest.json") as fh:
-        fh.write(_json_text(manifest) + "\n")
+    }))
 
 
 def rerun_from_manifest(manifest_path, out_dir=None) -> int:
-    """Re-run the argv recorded in a manifest, optionally redirecting --out."""
+    """Re-run the argv recorded in a manifest, optionally redirecting --out in any spelling."""
     import json
 
     with open(manifest_path) as fh:
@@ -224,58 +239,54 @@ def rerun_from_manifest(manifest_path, out_dir=None) -> int:
     argv = list(manifest["argv"])
     if out_dir is not None:
         for i, tok in enumerate(argv):
-            if tok == "--out" and i + 1 < len(argv):
-                argv[i + 1] = str(out_dir)
+            flag, eq, _ = tok.partition("=")
+            if len(flag) > 2 and "--out".startswith(flag):
+                if eq:
+                    argv[i] = f"{flag}={out_dir}"
+                elif i + 1 < len(argv):
+                    argv[i + 1] = str(out_dir)
     return run(argv)
 
 
 def _cmd_density(args, argv) -> int:
     started = time.time()
     g, v, x = _channel_from_args(args)
-    from .fap import _rewrite, density_grid, write_density_grid_csv
+    from .fap import density_grid, density_grid_csv
 
     cols, grid = density_grid(g, v, x, args.ymin, args.ymax, args.points)
     _require_finite(grid, "density grid")
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
-        path = out / "density.csv"
-        write_density_grid_csv(path, cols, grid)
+        text = density_grid_csv(cols, grid)
     else:
-        path = out / "density.json"
-        payload = [dict(zip(cols, row)) for row in grid.tolist()]
-        with _rewrite(path) as fh:
-            fh.write(_json_text(payload) + "\n")
-    _write_manifest(out, "density", argv, {
+        text = _json_text([dict(zip(cols, row)) for row in grid.tolist()])
+    name = f"density.{args.format}"
+    _write_outputs(args.out, {name: text}, "density", argv, {
         "dimension": args.dimension, "lam": args.lam, "sigma2": args.sigma2,
         "drift": list(v.components), "x": list(x),
         "ymin": args.ymin, "ymax": args.ymax, "points": args.points,
         "format": args.format,
-    }, [path.name], started)
-    print(f"wrote {path}")
+    }, started)
+    print(f"wrote {args.out / name}")
     return EXIT_OK
 
 
 def _cmd_simulate(args, argv) -> int:
     started = time.time()
     g, v, x = _channel_from_args(args)
-    from .sim import SimConfig, simulate_first_arrival, write_config_json, write_samples_csv
+    from .sim import SimConfig, samples_csv, simulate_first_arrival
 
     cfg = SimConfig(
         geometry=g, drift=v, dt=args.dt, n_particles=args.particles,
         max_steps=args.max_steps, seed=args.seed, stepper=args.stepper,
     )
     result = simulate_first_arrival(cfg, x_in=x)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "samples.csv"
-    cfg_path = out / "simulate_config.json"
-    write_samples_csv(result, csv_path)
-    write_config_json(cfg, cfg_path, version=__version__, x_in=x)
-    _write_manifest(out, "simulate", argv, cfg.to_dict() | {"x_in": list(x)},
-                    [csv_path.name, cfg_path.name], started, seed=args.seed)
+    params = cfg.to_dict() | {"x_in": list(x)}
+    _write_outputs(args.out, {
+        "samples.csv": samples_csv(result),
+        "simulate_config.json": _json_text(params | {"version": __version__}),
+    }, "simulate", argv, params, started, seed=args.seed)
     print(
-        f"wrote {csv_path} ({len(result.hit_times)} hits, "
+        f"wrote {args.out / 'samples.csv'} ({len(result.hit_times)} hits, "
         f"{result.censored_count} censored)"
     )
     return EXIT_OK
@@ -283,25 +294,20 @@ def _cmd_simulate(args, argv) -> int:
 
 def _cmd_capacity(args, argv) -> int:
     from .capacity import capacity_closed_form
-    from .fap import _rewrite
 
     started = time.time()
     floor = args.sigma if args.channel == "gaussian" else args.lam
     result = capacity_closed_form(args.channel, args.A, floor)
     payload = _json_text(result.to_dict())
-    print(payload)
+    print(payload, end="")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "capacity.json"
-        with _rewrite(path) as fh:
-            fh.write(payload + "\n")
-        _write_manifest(args.out, "capacity", argv, result.to_dict(), [path.name], started)
+        _write_outputs(args.out, {"capacity.json": payload}, "capacity", argv,
+                       result.to_dict(), started)
     return EXIT_OK
 
 
 def _cmd_maxent(args, argv) -> int:
     from .capacity import ConstraintSpec, maxent_profile
-    from .fap import _rewrite
 
     started = time.time()
     spec = ConstraintSpec(args.p, target=args.c)
@@ -317,15 +323,10 @@ def _cmd_maxent(args, argv) -> int:
         "grid": [[float(y), float(f)] for y, f in zip(ys, fs)],
     }
     text = _json_text(payload)
-    print(text)
+    print(text, end="")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "maxent.json"
-        with _rewrite(path) as fh:
-            fh.write(text + "\n")
-        _write_manifest(args.out, "maxent", argv,
-                        {k: payload[k] for k in ("p", "k", "target", "mu")},
-                        [path.name], started)
+        _write_outputs(args.out, {"maxent.json": text}, "maxent", argv,
+                       {k: payload[k] for k in ("p", "k", "target", "mu")}, started)
     return EXIT_OK
 
 
@@ -349,12 +350,7 @@ def _cmd_verify(args, argv) -> int:
 def _cmd_table1(args, argv) -> int:
     import numpy as np
 
-    from .capacity import (
-        capacity_table,
-        write_capacity_table_csv,
-        write_capacity_table_json,
-        write_curve_files,
-    )
+    from .capacity import capacity_table, capacity_table_csv, curve_files
 
     started = time.time()
     if args.a_min < args.lam or args.a_min < args.sigma:
@@ -366,19 +362,14 @@ def _cmd_table1(args, argv) -> int:
         return EXIT_INFEASIBLE
     a_values = np.linspace(args.a_min, args.a_max, args.a_count)
     rows = capacity_table(a_values, lam=args.lam, sigma=args.sigma)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "table.csv"
-    json_path = out / "table.json"
-    write_capacity_table_csv(rows, csv_path)
-    write_capacity_table_json(rows, json_path)
-    curves = write_curve_files(rows, out)
-    outputs = [csv_path.name, json_path.name] + [Path(c).name for c in curves]
-    _write_manifest(out, "table1", argv, {
+    curves = curve_files(rows)
+    _write_outputs(args.out, {
+        "table.csv": capacity_table_csv(rows), "table.json": _json_text(rows), **curves,
+    }, "table1", argv, {
         "a_min": args.a_min, "a_max": args.a_max, "a_count": args.a_count,
         "lam": args.lam, "sigma": args.sigma,
-    }, outputs, started)
-    print(f"wrote {csv_path} and {len(curves)} curve files")
+    }, started)
+    print(f"wrote {args.out / 'table.csv'} and {len(curves)} curve files")
     return EXIT_OK
 
 

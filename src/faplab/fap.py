@@ -9,7 +9,9 @@ point over the receiver plane.
 ``fap_density`` is the one implementation: it takes an input position and
 an (n, d-1) array of outputs and returns the n densities in closed form.
 ``fap_pdf_2d``, ``fap_pdf_3d`` and ``fap_pdf`` evaluate it at a single
-``FapPoint``, and ``density_grid`` evaluates it once over a whole grid.
+``FapPoint``, and ``density_grid`` evaluates it once over a whole grid,
+which ``density_grid_csv`` renders as CSV text.  This module opens no file;
+the command line writes every output.
 
 Sign convention for the drift component along the traversal axis (v2 in 2D,
 v3 in 3D): positive values point from the receiver back toward the
@@ -25,11 +27,7 @@ degenerates into a 0 * inf product; the 3D drifted formula already equals it.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
-import stat
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -49,7 +47,7 @@ __all__ = [
     "zero_drift_reduction",
     "arrival_probability",
     "density_grid",
-    "write_density_grid_csv",
+    "density_grid_csv",
 ]
 
 
@@ -271,28 +269,8 @@ def density_grid(
     return columns, np.column_stack([nodes, fap_density(g, v, x, nodes)])
 
 
-@contextmanager
-def _rewrite(path, newline=None):
-    """``open(path, "w")`` without O_TRUNC: the file is cut to what was written on exit.
-
-    On ext4 (``auto_da_alloc``) a file truncated to zero is flushed at close,
-    and the next rewrite of it waits for that writeback.  Bytes, inode, mode
-    and symlink-following are those of ``open(path, "w")``, and so is the new
-    prefix an exception leaves.  A device or pipe, which O_TRUNC leaves alone,
-    is not cut either.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", newline=newline) as fh:
-        try:
-            yield fh
-        finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
-
-
-def write_density_grid_csv(path, columns: Sequence[str], rows) -> None:
-    """CSV export with header (y1[,y2],density); floats use shortest round-trip form."""
-    with _rewrite(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([repr(c) for c in row] for row in np.asarray(rows, dtype=float).tolist())
+def density_grid_csv(columns: Sequence[str], rows) -> str:
+    """CSV text with header (y1[,y2],density); floats use shortest round-trip form."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
+    return "\r\n".join(lines) + "\r\n"

@@ -30,8 +30,6 @@ other particles of its chunk.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import numbers
 import os
@@ -41,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fap import ChannelGeometry, DriftVector, _input_position, _rewrite
+from .fap import ChannelGeometry, DriftVector, _input_position
 
 __all__ = [
     "SimConfig",
@@ -51,8 +49,7 @@ __all__ = [
     "ks_statistic",
     "ks_two_sample",
     "effective_workers",
-    "write_samples_csv",
-    "write_config_json",
+    "samples_csv",
 ]
 
 # Drop a stretch of walk only when its continuous-bridge crossing
@@ -406,31 +403,20 @@ def ks_two_sample(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def write_samples_csv(sample_set: FapSampleSet, path) -> None:
-    """One row per particle: particle_id, y1[, y2], hit_time, censored.
+def samples_csv(sample_set: FapSampleSet) -> str:
+    """CSV text, one row per particle: particle_id, y1[, y2], hit_time, censored.
 
     Censored particles carry empty position/time fields.
     """
     n_t = sample_set.positions.shape[1]
     cols = ["particle_id"] + [f"y{i + 1}" for i in range(n_t)] + ["hit_time", "censored"]
     hits = {int(pid): k for k, pid in enumerate(sample_set.hit_particle_ids)}
-    with _rewrite(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for pid in range(sample_set.n_particles):
-            k = hits.get(pid)
-            if k is None:
-                writer.writerow([pid] + [""] * n_t + ["", 1])
-            else:
-                pos = [repr(float(c)) for c in sample_set.positions[k]]
-                writer.writerow([pid] + pos + [repr(float(sample_set.hit_times[k])), 0])
-
-
-def write_config_json(cfg: SimConfig, path, version: str, x_in=None) -> None:
-    """JSON sidecar echoing the full configuration plus the code version."""
-    payload = cfg.to_dict()
-    payload["x_in"] = [float(c) for c in np.atleast_1d(x_in)] if x_in is not None else None
-    payload["version"] = version
-    with _rewrite(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    positions, times = sample_set.positions.tolist(), sample_set.hit_times.tolist()
+    lines = [",".join(cols)]
+    for pid in range(sample_set.n_particles):
+        k = hits.get(pid)
+        if k is None:
+            lines.append(f"{pid}{',' * (n_t + 2)}1")
+        else:
+            lines.append(",".join([str(pid), *map(repr, positions[k]), repr(times[k]), "0"]))
+    return "\r\n".join(lines) + "\r\n"

@@ -677,6 +677,19 @@ def test_dispersion_of_samples_whose_norm_overflows():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1, 2])
+def test_dispersion_of_samples_whose_middle_norms_sum_past_the_float_range(p):
+    # The mean of the two middle norms overflows; the solve starts at the upper
+    # one, and is exact in scale by a power of 2.
+    rng = np.random.default_rng(29)
+    y = np.sign(rng.standard_cauchy(3000)) * rng.uniform(0.5, 1.0, 3000) * 1.7e308
+    if p == 2:
+        y = np.column_stack([y, np.zeros_like(y)])
+    spec = ConstraintSpec(p)
+    assert dispersion_of(y, spec) == dispersion_of(y * 2.0**-600, spec) * 2.0**600
+
+
+@pytest.mark.filterwarnings("error")
 def test_log_moment_of_samples_whose_norm_overflows():
     # The same halving as the dispersion: L(Y, k) = L(Y / 2, k / 2).  The mean of
     # ln(1 + |y|^2 / k^2) is by mpmath at 50 digits.

@@ -264,6 +264,45 @@ def test_density_files_match_the_per_node_rendering(tmp_path, flags, drift, x):
         assert got == (tmp_path / f"want.{fmt}").read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:censored fraction")
+def test_sample_and_table_files_match_a_csv_writer_rendering(tmp_path):
+    # samples.csv (censored rows included, with their empty fields) and
+    # table.csv as csv.writer renders them: byte for byte.
+    from faplab.capacity import capacity_table
+    from faplab.fap import ChannelGeometry, DriftVector
+    from faplab.sim import SimConfig, simulate_first_arrival
+
+    cfg = SimConfig(ChannelGeometry(3, 1.0, 1.0), DriftVector(0.2, -0.1, 0.3), dt=1e-3,
+                    n_particles=200, max_steps=2000, seed=11)
+    result = simulate_first_arrival(cfg, x_in=(0.25, -0.4))
+    assert 0 < result.censored_count < cfg.n_particles
+    hits = {int(pid): k for k, pid in enumerate(result.hit_particle_ids)}
+    with open(tmp_path / "samples.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["particle_id", "y1", "y2", "hit_time", "censored"])
+        for pid in range(cfg.n_particles):
+            k = hits.get(pid)
+            if k is None:
+                writer.writerow([pid, "", "", "", 1])
+            else:
+                pos = [repr(float(c)) for c in result.positions[k]]
+                writer.writerow([pid] + pos + [repr(float(result.hit_times[k])), 0])
+    with open(tmp_path / "table.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["A", "C_gauss", "C_2d", "C_3d"])
+        for r in capacity_table(np.linspace(1.5, 8.0, 14), lam=1.0, sigma=1.5):
+            writer.writerow([repr(r[key]) for key in ("A", "C_gauss", "C_2d", "C_3d")])
+
+    out = tmp_path / "out"
+    assert run(["simulate", "-n", "3", "--vx", "0.2", "--vy", "-0.1", "--vz", "0.3",
+                "--x1", "0.25", "--x2", "-0.4", "--dt", "1e-3", "--particles", "200",
+                "--max-steps", "2000", "--seed", "11", "--out", str(out)]) == EXIT_OK
+    assert run(["table1", "--a-min", "1.5", "--a-max", "8", "--a-count", "14",
+                "--sigma", "1.5", "--out", str(out)]) == EXIT_OK
+    for name in ("samples.csv", "table.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
 def test_simulate_outputs_and_manifest(tmp_path):
     out = tmp_path / "s"
     rc = run(["simulate", "--dt", "1e-3", "--particles", "400", "--max-steps", "30000",
@@ -310,6 +349,21 @@ def test_manifest_rerun_deterministic_subcommands(tmp_path):
         assert run(argv + ["--out", str(first)]) == EXIT_OK
         assert rerun_from_manifest(first / "manifest.json", out_dir=second) == EXIT_OK
         assert (first / produced).read_bytes() == (second / produced).read_bytes()
+
+
+@pytest.mark.parametrize("spelling", [["--out", "{}"], ["--out={}"], ["--o", "{}"]],
+                         ids=["separate", "equals", "abbreviated"])
+def test_manifest_rerun_redirects_every_spelling_of_out(tmp_path, spelling):
+    # The rerun writes into out_dir, and leaves the recorded run's directory alone.
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["capacity", "--channel", "fap2d", "--A", "2"]
+    assert run(argv + [t.format(first) for t in spelling]) == EXIT_OK
+    recorded = (first / "manifest.json").read_bytes()
+    assert rerun_from_manifest(first / "manifest.json", out_dir=second) == EXIT_OK
+    assert (first / "manifest.json").read_bytes() == recorded
+    assert (second / "capacity.json").read_bytes() == (first / "capacity.json").read_bytes()
+    manifest = json.loads((second / "manifest.json").read_text())
+    assert manifest["argv"] == argv + [t.format(second) for t in spelling]
 
 
 _SIM = ["simulate", "--dt", "1e-3", "--max-steps", "30000", "--seed", "9", "--particles"]
@@ -390,7 +444,7 @@ def _writes_outside_rewrite(source: str) -> list:
 
 def test_every_output_file_is_written_through_rewrite():
     # open(path, "w") truncates on open, and on ext4 each rerun into the same
-    # file then waits for the previous one's writeback; fap._rewrite does not.
+    # file then waits for the previous one's writeback; cli._rewrite does not.
     assert _writes_outside_rewrite(
         'open(p, "w")\nopen(p, mode="wb")\nPath(p).open("w+")\np.write_text(t)\n'
         'os.fdopen(fd, "w")\nopen(p)\nopen(p, "rb")\nopen(p, "a")\n'
@@ -399,6 +453,14 @@ def test_every_output_file_is_written_through_rewrite():
     src = Path(faplab.__file__).parent
     found = {f.name: _writes_outside_rewrite(f.read_text()) for f in sorted(src.glob("*.py"))}
     assert not any(found.values()), found
+    # ... and the one _rewrite is the command line's, the only caller of os.open.
+    nodes = {f.name: list(ast.walk(ast.parse(f.read_text()))) for f in sorted(src.glob("*.py"))}
+    defines = {name for name, ns in nodes.items()
+               if any(isinstance(n, ast.FunctionDef) and n.name == "_rewrite" for n in ns)}
+    opens = {name for name, ns in nodes.items() if any(
+        isinstance(n, ast.Attribute) and n.attr == "open" and getattr(n.value, "id", None) == "os"
+        for n in ns)}
+    assert defines == opens == {"cli.py"}, (defines, opens)
 
 
 def test_simulate_threads_env_does_not_change_results(tmp_path, monkeypatch):

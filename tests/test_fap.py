@@ -11,11 +11,11 @@ from faplab.fap import (
     FapPoint,
     arrival_probability,
     density_grid,
+    density_grid_csv,
     fap_density,
     fap_pdf,
     fap_pdf_2d,
     fap_pdf_3d,
-    write_density_grid_csv,
     zero_drift_reduction,
 )
 from faplab.quadrature import integrate_real_line
@@ -261,7 +261,7 @@ def test_density_grid_csv_roundtrip(tmp_path):
     g = ChannelGeometry(2, 1.0, 1.0)
     cols, grid = density_grid(g, DriftVector(0.0, -0.5), points=11, y_min=-2, y_max=2)
     path = tmp_path / "density.csv"
-    write_density_grid_csv(path, cols, grid)
+    path.write_text(density_grid_csv(cols, grid), newline="")
     with open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader)

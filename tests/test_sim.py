@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faplab import cli
 from faplab.cauchy import UnivariateCauchy, cdf_univariate
 from faplab.fap import ChannelGeometry, DriftVector, arrival_probability, zero_drift_reduction
 from faplab.sim import (
@@ -18,9 +19,8 @@ from faplab.sim import (
     ks_statistic,
     ks_two_sample,
     sample_exact_zero_drift,
+    samples_csv,
     simulate_first_arrival,
-    write_config_json,
-    write_samples_csv,
 )
 
 G2 = ChannelGeometry(2, 1.0, 1.0)
@@ -408,12 +408,12 @@ def test_simulator_outputs_are_pinned(name):
 
 
 @pytest.mark.filterwarnings("ignore:censored fraction")
-def test_csv_and_sidecar_roundtrip(tmp_path):
+def test_csv_and_sidecar_roundtrip(tmp_path, monkeypatch):
     cfg = SimConfig(G2, DriftVector(0.0, 0.0), dt=1e-3, n_particles=300,
                     max_steps=5_000, seed=6)
     run = simulate_first_arrival(cfg)
     csv_path = tmp_path / "samples.csv"
-    write_samples_csv(run, csv_path)
+    csv_path.write_text(samples_csv(run), newline="")
     with open(csv_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["particle_id", "y1", "hit_time", "censored"]
@@ -423,8 +423,11 @@ def test_csv_and_sidecar_roundtrip(tmp_path):
     hit_rows = [r for r in rows[1:] if r[3] == "0"]
     assert float(hit_rows[0][1]) == run.positions[0, 0]
 
-    side = tmp_path / "config.json"
-    write_config_json(cfg, side, version="0.0-test", x_in=(0.0,))
+    # The sidecar is the command line's, written for the same configuration.
+    monkeypatch.setattr(cli, "__version__", "0.0-test")
+    assert cli.run(["simulate", "--dt", "1e-3", "--particles", "300", "--max-steps", "5000",
+                    "--seed", "6", "--out", str(tmp_path / "cli")]) == cli.EXIT_OK
+    side = tmp_path / "cli" / "simulate_config.json"
     payload = json.loads(side.read_text())
     assert payload["dt"] == cfg.dt
     assert payload["seed"] == cfg.seed
