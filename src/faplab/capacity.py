@@ -270,11 +270,13 @@ def _sample_norms(y: np.ndarray, p: Optional[int]):
 
     unit is 1, or a power of 2 that brings finite rows' norms back into the
     float range; dividing by it is exact, so L(y, k) = L(y / unit, k / unit).
-    A norm that is NaN or inf (a sample holding one) is an error.
+    An empty sample, or a norm that is NaN or inf (a sample holding one), is an error.
     """
     dim = 1 if y.ndim == 1 else y.shape[1]
     if p is not None and dim != p:
         raise ValueError(f"input has dimension {dim}, expected {p}")
+    if y.size == 0:
+        raise ValueError("samples must hold at least one point")
     unit = 1.0
     if y.ndim == 1:
         mags = np.abs(y)

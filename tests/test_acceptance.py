@@ -10,32 +10,28 @@ import math
 
 import numpy as np
 
-from faplab.capacity import (
-    ConstraintSpec,
-    MaxentProfile,
-    capacity_table,
-    dispersion_of,
-    entropy_estimate,
-)
+from faplab.capacity import capacity_table, entropy_estimate
 from faplab.cauchy import (
     MultivariateCauchy,
     UnivariateCauchy,
     cdf_univariate,
-    independent_sum,
     phi_constant,
     sample_multivariate,
     sample_univariate,
 )
 from faplab.cli import EXIT_OK, rerun_from_manifest, run
 from faplab.fap import ChannelGeometry
-from faplab.sim import ks_statistic, ks_two_sample, sample_exact_zero_drift
+from faplab.sim import ks_statistic, sample_exact_zero_drift
 from faplab.special import digamma, w2
 from faplab.verify import (
+    _capacity_formula_chain,
     _check_dispersion_homogeneity,
     _check_dispersion_identity,
     _check_exact_sampler_ks,
     _check_maxent_certification,
+    _check_sum_closure,
     _check_zero_drift_limit,
+    run_checks,
 )
 
 LN_4PI = math.log(4.0 * math.pi)
@@ -58,20 +54,9 @@ def test_criterion_01_special_function_golden_values():
 
 
 def test_criterion_02_entropy_closed_forms_by_quadrature():
-    worst1 = 0.0
-    for g in (0.1, 1.0, 10.0):
-        d = UnivariateCauchy(0.0, g)
-        worst1 = max(worst1, abs(entropy_estimate(d).value - math.log(4.0 * math.pi * g)))
-    assert worst1 <= 1e-8
-    worst2 = 0.0
-    for k in (0.5, 1.0, 3.0):
-        b = MultivariateCauchy([0.0, 0.0], k**2 * np.eye(2))
-        worst2 = max(
-            worst2,
-            abs(entropy_estimate(b).value - math.log(2.0 * math.pi * math.e**3 * k**2)),
-        )
-    assert worst2 <= 1e-4
-    report(2, f"quadrature gaps: univariate {worst1:.1e} (tol 1e-8), bivariate {worst2:.1e} (tol 1e-4)")
+    results = run_checks(only="cauchy/entropy_quadrature_")
+    assert len(results) == 2 and all(r.passed for r in results), results
+    report(2, "; ".join(f"{r.name}: {r.detail}" for r in results))
 
 
 def test_criterion_03_phi_cross_consistency():
@@ -145,26 +130,15 @@ def test_criterion_07_capacity_formula_3d():
 
 
 def test_criterion_08_maxent_certification():
-    spec1, spec2 = ConstraintSpec(1), ConstraintSpec(2)
     ok, detail = _check_maxent_certification(False)
     assert ok, detail
-
-    worst_excess = -math.inf
-    big_a = 2.0
-    for p, spec, h_star in (
-        (1, spec1, math.log(4.0 * math.pi * big_a)),
-        (2, spec2, math.log(2.0 * math.pi * math.e**3 * big_a**2)),
-    ):
-        mu_grid = np.append(np.linspace(0.5 * p + 0.15, 0.5 * p + 3.0, 10), 0.5 * (1 + p))
-        for mu in mu_grid:
-            unit = MaxentProfile(p=p, k=1.0, mu=float(mu), target=spec.c)
-            d_unit = dispersion_of(unit, spec)
-            scaled = MaxentProfile(p=p, k=big_a / d_unit, mu=float(mu), target=spec.c)
-            h = entropy_estimate(scaled, "quadrature").value
-            worst_excess = max(worst_excess, h - h_star)
-    assert worst_excess <= 1e-6
-    report(8, f"{detail} (tol 1e-6); max feasible-profile entropy excess {worst_excess:.1e} "
-              "(tol 1e-6)")
+    details = []
+    for p in (1, 2):
+        mus = np.append(np.linspace(0.5 * p + 0.15, 0.5 * p + 3.0, 10), 0.5 * (1 + p))
+        ok_p, detail_p = _capacity_formula_chain(p, 2.0, False, mus=mus)
+        assert ok_p, detail_p
+        details.append(f"p={p}: {detail_p}")
+    report(8, f"{detail} (tol 1e-6); " + "; ".join(details))
 
 
 def test_criterion_09_dispersion_axioms():
@@ -176,32 +150,11 @@ def test_criterion_09_dispersion_axioms():
 
 
 def test_criterion_10_sum_closure():
-    n = 100_000
-    pairs = [(1.0, 2.0), (0.3, 0.7), (5.0, 0.1)]
-    worst_uni = 0.0
-    for i, (s, t) in enumerate(pairs):
-        u = sample_univariate(UnivariateCauchy(0.0, s), n, seed=800 + i)
-        v = sample_univariate(UnivariateCauchy(0.0, t), n, seed=830 + i)
-        z = independent_sum(UnivariateCauchy(0.0, s), UnivariateCauchy(0.0, t))
-        direct = sample_univariate(z, n, seed=860 + i)
-        worst_uni = max(worst_uni, ks_two_sample(u + v, direct))
-    assert worst_uni < 0.01
-
-    worst_bi = 0.0
-    for i, (s, t) in enumerate(pairs):
-        du = MultivariateCauchy([0.0, 0.0], s**2 * np.eye(2))
-        dv = MultivariateCauchy([0.0, 0.0], t**2 * np.eye(2))
-        u = sample_multivariate(du, n, seed=900 + i)
-        v = sample_multivariate(dv, n, seed=930 + i)
-        direct = sample_multivariate(independent_sum(du, dv), n, seed=960 + i)
-        summed = u + v
-        worst_bi = max(worst_bi, ks_two_sample(summed[:, 0], direct[:, 0]))
-        worst_bi = max(
-            worst_bi,
-            ks_two_sample(np.linalg.norm(summed, axis=1), np.linalg.norm(direct, axis=1)),
-        )
-    assert worst_bi < 0.01
-    report(10, f"sum-closure two-sample KS: univariate {worst_uni:.4f}, bivariate {worst_bi:.4f} (tol 0.01)")
+    ok_uni, detail_uni = _check_sum_closure(1, (800, 830, 860), False)
+    assert ok_uni, detail_uni
+    ok_bi, detail_bi = _check_sum_closure(2, (900, 930, 960), False)
+    assert ok_bi, detail_bi
+    report(10, f"sum closure: univariate {detail_uni}; bivariate {detail_bi}")
 
 
 def test_criterion_11_table_reproduction(tmp_path):

@@ -640,6 +640,16 @@ def test_dispersion_of_samples_at_the_origin_has_no_root(y, spec):
         dispersion_of(y, spec)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("y, spec", [(np.array([]), SPEC1), (np.empty((0, 2)), SPEC2)],
+                         ids=["1d", "2d"])
+def test_empty_samples_are_rejected(y, spec):
+    with pytest.raises(ValueError, match="samples must hold at least one point"):
+        log_moment(y, 1.0, spec.p)
+    with pytest.raises(ValueError, match="samples must hold at least one point"):
+        dispersion_of(y, spec)
+
+
 def test_dispersion_of_samples_decades_from_the_start():
     # Mostly zeros put the median norm, and so the start, at k = 1 whatever
     # the scale of the rest: the solve walks twelve decades down or up, a

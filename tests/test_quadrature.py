@@ -27,7 +27,7 @@ from faplab.quadrature import (
     plane_integral,
     radial_integral,
 )
-from faplab.verify import _arrival_mass_by_quadrature, run_checks
+from faplab.verify import _arrival_mass_by_quadrature, check_names, run_checks
 
 
 def test_non_integrable_integrand_raises_with_its_work():
@@ -179,31 +179,8 @@ def test_arrival_mass_by_quadrature_is_pinned(geometry, drift, pinned):
     assert _arrival_mass_by_quadrature(g, v).hex() == pinned
 
 
-@pytest.mark.parametrize("name", [
-    "cauchy/normalization_univariate",
-    "cauchy/normalization_bivariate",
-    "cauchy/entropy_quadrature_univariate",
-    "cauchy/entropy_quadrature_bivariate",
-    "cauchy/sum_closure_univariate",
-    "cauchy/sum_closure_bivariate",
-    "cauchy/entropy_scaling",
-    "fap/zero_drift_limit_2d",
-    "fap/zero_drift_limit_3d",
-    "fap/translation_covariance",
-    "fap/positivity",
-    "fap/marginal_3d_to_2d",
-    "fap/arrival_probability_zero_drift",
-    "capacity/log_moment_monotone",
-    "capacity/dispersion_homogeneity",
-    "capacity/dispersion_identity",
-    "capacity/closed_form_log_moments",
-    "capacity/entropy_maximizer_2d",
-    "capacity/entropy_maximizer_3d",
-    "capacity/knn_consistency",
-    "capacity/capacity_endpoint",
-    "capacity/maxent_certification",
-    "capacity/table_columns",
-])
+# Every check of verify's one table, in quick mode; the table's names are the ids.
+@pytest.mark.parametrize("name", check_names())
 def test_verify_quadrature_cross_check_passes(name):
     results = run_checks(only=name, quick=True)
     assert len(results) == 1 and results[0].name == name and results[0].passed, results

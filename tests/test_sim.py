@@ -22,6 +22,7 @@ from faplab.sim import (
     samples_csv,
     simulate_first_arrival,
 )
+from faplab.verify import _check_literal_vs_bridge
 
 G2 = ChannelGeometry(2, 1.0, 1.0)
 G3 = ChannelGeometry(3, 1.0, 1.0)
@@ -198,16 +199,8 @@ def test_em_matches_exact_sampler_within_horizon():
 
 
 def test_steppers_agree_in_law():
-    shared = dict(dt=1e-3, n_particles=10_000, max_steps=25_000)
-    bridge = simulate_first_arrival(
-        SimConfig(G2, DriftVector(0.0, 0.0), seed=21, stepper="block_bridge", **shared)
-    )
-    literal = simulate_first_arrival(
-        SimConfig(G2, DriftVector(0.0, 0.0), seed=22, stepper="per_step", **shared)
-    )
-    crit = 1.95 * math.sqrt(2.0 / min(len(bridge.hit_times), len(literal.hit_times)))
-    assert ks_two_sample(bridge.transverse_1d(), literal.transverse_1d()) < crit
-    assert ks_two_sample(np.log(bridge.hit_times), np.log(literal.hit_times)) < crit
+    ok, detail = _check_literal_vs_bridge(False)
+    assert ok, detail
 
 
 def test_steppers_agree_in_law_with_transverse_drift():

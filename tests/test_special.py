@@ -15,7 +15,6 @@ from faplab.special import (
     w2,
 )
 from faplab.capacity import constraint_constant
-from faplab.verify import _check_w2_golden
 
 # Independent oracles ------------------------------------------------------
 
@@ -142,11 +141,6 @@ def test_k1_domain():
 def test_w2_dimension_constants():
     assert w2(1.0, 0.5) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
     assert w2(1.5, 1.0) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_w2_integer_offset_is_the_digamma_difference():
-    passed, detail = _check_w2_golden(quick=False)
-    assert passed, detail
 
 
 # psi(t) - psi(t - 1/2) by mpmath, at 40 digits past those of t's integer part.
